@@ -22,6 +22,7 @@ from .modes import (
     OSCILLATORY_REL,
     RepeatedModeError,
     ResidueConvergenceError,
+    det_newton_step,
     find_modes,
     mode_artifacts,
 )
@@ -104,7 +105,7 @@ def _load(path: str):
 def _check_residuals(ynodal, modes, tol: float) -> None:
     """Every simple reported mode must sit on a matrix-determinant zero.
 
-    The Newton step length |f / f'| of the pointwise LU determinant at the
+    The Newton step length |det Y / (det Y)'| of the evaluated matrix at the
     reported eigenvalue estimates its distance to the nearest true zero.
     Near-repeated modes are skipped: their positions are inherently fuzzy
     and they are already flagged in the listing.
@@ -113,12 +114,7 @@ def _check_residuals(ynodal, modes, tol: float) -> None:
         if m.near_repeated:
             continue
         lam = m.eigenvalue
-        value = np.linalg.det(ynodal(lam))
-        if value == 0:
-            continue
-        h = 1e-6 * (1.0 + abs(lam))
-        slope = (np.linalg.det(ynodal(lam + h)) - np.linalg.det(ynodal(lam - h))) / (2 * h)
-        distance = abs(value) / (abs(slope) + 1e-300) / (1.0 + abs(lam))
+        distance = abs(det_newton_step(ynodal, lam)) / (1.0 + abs(lam))
         if distance > tol:
             raise ArithmeticError(
                 f"mode {lam:.6g} is {distance:.2e} away from a determinant "
@@ -283,10 +279,20 @@ def _peaks(freq_hz, mag):
 
 
 def cmd_scan(args) -> int:
-    doc, ynodal, det, modes = _load(args.network)
+    doc = parse_network_file(args.network)
+    ynodal = build_ynodal(doc.network)
     omega = _scan_grid(doc, args)
     n = doc.network.size
-    values = np.linalg.inv(ynodal.eval_grid(1j * omega))
+    grid = ynodal.eval_grid(1j * omega)
+    try:
+        values = np.linalg.inv(grid)
+    except np.linalg.LinAlgError:
+        bad = omega[int(np.argmin(np.abs(np.linalg.det(grid))))]
+        raise ArithmeticError(
+            f"the nodal admittance matrix is singular at {bad:.6g} rad/s; "
+            "the impedance is undefined there (a lossless mode or a zero "
+            "admittance on the grid)"
+        )
     freq_hz = omega / (2.0 * np.pi)
 
     if args.entry.strip().lower() == "all":
@@ -406,6 +412,10 @@ def cmd_tune(args) -> int:
         raise UsageError(
             f"unknown parameter {param!r} for component {comp_name!r}; "
             f"have: {', '.join(comp.kind.params) or 'none'}"
+        )
+    if comp.kind.params[param] == 0.0:
+        raise UsageError(
+            f"parameter {args.param} is zero; a percentage change of it is undefined"
         )
     if not -50.0 < args.pct < 50.0 or args.pct == 0.0:
         raise UsageError("--pct must be a nonzero percentage below 50")

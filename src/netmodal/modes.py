@@ -153,47 +153,56 @@ def _adjugate_numeric(matrix: np.ndarray) -> np.ndarray:
     return adj
 
 
+def _slope_matrix(ynodal: RationalMatrix, s: complex) -> np.ndarray:
+    """Entrywise derivative Y'(s) of the matrix, evaluated at ``s``."""
+    return np.array([[e.derivative_at(s) for e in row] for row in ynodal.entries])
+
+
+def det_newton_step(ynodal: RationalMatrix, lam: complex) -> complex:
+    """Newton step det Y / (det Y)' at ``lam``, from Y(lam) and Y'(lam) alone.
+
+    By Jacobi's formula (det Y)' = det Y * tr(Y^-1 Y'), so the step is
+    1 / tr(Y^-1 Y') and needs neither the expanded determinant nor a
+    difference quotient.  It is zero where Y(lam) is exactly singular and
+    infinite where the trace vanishes.
+    """
+    y_at, slope = ynodal(lam), _slope_matrix(ynodal, lam)
+    try:
+        trace = np.trace(np.linalg.solve(y_at, slope))
+    except np.linalg.LinAlgError:
+        return 0j
+    return 1.0 / trace if trace != 0 else complex(np.inf)
+
+
 def _refine_eigenvalue(ynodal: RationalMatrix, lam: complex, steps: int = 3) -> complex:
     """Newton-polish a mode against the pointwise matrix determinant.
 
-    Working on LU determinants of the evaluated matrix avoids the coefficient
-    round-off of the expanded determinant polynomial, which matters when
-    modes cluster.
+    Working on the evaluated matrix avoids the coefficient round-off of the
+    expanded determinant polynomial, which matters when modes cluster.  A
+    step is kept only while it shrinks |det Y|.
     """
-    h = 1e-6 * (1.0 + abs(lam))
-    value = np.linalg.det(ynodal(lam))
+    value = abs(np.linalg.det(ynodal(lam)))
     for _ in range(steps):
-        slope = (np.linalg.det(ynodal(lam + h)) - np.linalg.det(ynodal(lam - h))) / (2.0 * h)
-        if slope == 0:
+        step = det_newton_step(ynodal, lam)
+        if step == 0 or not np.isfinite(step):
             break
-        trial = lam - value / slope
-        trial_value = np.linalg.det(ynodal(trial))
-        if abs(trial_value) >= abs(value):
+        trial = lam - step
+        trial_value = abs(np.linalg.det(ynodal(trial)))
+        if not trial_value < value:
             break
         lam, value = trial, trial_value
     return lam
 
 
-def _adjugate_richardson(ynodal: RationalMatrix, det: RationalFunction,
-                         lam: complex) -> np.ndarray:
-    """adj = det * inverse, extrapolated onto the singular point.
-
-    The inverse does not exist at the mode itself, so the product is sampled
-    at ``lam + delta`` for three shrinking offsets and Richardson-extrapolated.
-    """
-    delta = 1e-4 * (1.0 + abs(lam))
-    samples = []
-    for d in (delta, delta / 2.0, delta / 4.0):
-        s = lam + d
-        samples.append(det(s) * np.linalg.inv(ynodal(s)))
-    r1a = 2.0 * samples[1] - samples[0]
-    r1b = 2.0 * samples[2] - samples[1]
-    return (4.0 * r1b - r1a) / 3.0
-
-
 def mode_artifacts(ynodal: RationalMatrix, lam: complex,
                    det: Optional[RationalFunction] = None) -> Mode:
     """Fully populated mode at a known simple determinant zero.
+
+    Every quantity comes from Y(lam) and Y'(lam), at any matrix size: the
+    mode is Newton-polished on the evaluated matrix, the adjugate is taken
+    by cofactors of Y(lam), and the determinant slope is Jacobi's
+    tr(adj Y(lam) Y'(lam)).  ``det`` is accepted for compatibility and
+    ignored; the expanded determinant is never consulted.
 
     Null vectors come from the SVD of the admittance matrix at the mode
     (right/left singular vectors of the smallest singular value; the left
@@ -201,7 +210,6 @@ def mode_artifacts(ynodal: RationalMatrix, lam: complex,
     one).  The right vector's largest entry is rotated to the positive real
     axis so reports are reproducible.
     """
-    det_rf = det if det is not None else ynodal.det()
     lam = _refine_eigenvalue(ynodal, complex(lam))
     y_at = ynodal(lam)
     n = y_at.shape[0]
@@ -227,12 +235,8 @@ def mode_artifacts(ynodal: RationalMatrix, lam: complex,
         raise NormalizationError(f"defective normalization at {lam:.6g}")
     left = left / pairing
 
-    if n <= 5:
-        adj = _adjugate_numeric(y_at)
-    else:
-        adj = _adjugate_richardson(ynodal, det_rf, lam)
-
-    slope = det_rf.derivative_at(lam)
+    adj = _adjugate_numeric(y_at)
+    slope = np.trace(adj @ _slope_matrix(ynodal, lam))
     trace = np.trace(adj)
     scale = -trace / slope
     residue = adj / slope

@@ -379,6 +379,35 @@ def _stamp(entries, base_r: int, base_c: int, block, sign: float) -> None:
             entries[base_r + p][base_c + q] = cur + (b if sign > 0 else -b)
 
 
+def _port_blocks(net: NetworkModel, comp):
+    """Port width and ``(row, col, sign)`` blocks through which a component
+    enters the nodal matrix: its node's diagonal block for a shunt; both
+    diagonal blocks and, negated, both coupling blocks for a branch."""
+    if isinstance(comp, Shunt):
+        off, width = net.port_span(comp.node)
+        return width, ((off, off, +1.0),)
+    off_a, width = net.port_span(comp.node_a)
+    off_b, _ = net.port_span(comp.node_b)
+    return width, (
+        (off_a, off_a, +1.0),
+        (off_b, off_b, +1.0),
+        (off_a, off_b, -1.0),
+        (off_b, off_a, -1.0),
+    )
+
+
+def _assemble(net: NetworkModel, components) -> list:
+    """Entry grid of the stamps of ``components``, in the order given."""
+    n = net.size
+    entries = [[RationalFunction.zero() for _ in range(n)] for _ in range(n)]
+    for comp in components:
+        width, blocks = _port_blocks(net, comp)
+        block = _kind_block(comp.kind, width)
+        for r, c, sign in blocks:
+            _stamp(entries, r, c, block, sign)
+    return entries
+
+
 def _structure_hints(net: NetworkModel):
     """Exact denominator structure of the nodal matrix, where derivable.
 
@@ -429,47 +458,20 @@ def build_ynodal(net: NetworkModel) -> RationalMatrix:
     """
     if net.has_spectrum_apparatus():
         raise ModelDataError("rational model required; use measurement route")
-    n = net.size
-    entries = [[RationalFunction.zero() for _ in range(n)] for _ in range(n)]
-    for sh in net.shunts:
-        off, width = net.port_span(sh.node)
-        _stamp(entries, off, off, _kind_block(sh.kind, width), +1)
-    for br in net.branches:
-        off_a, width = net.port_span(br.node_a)
-        off_b, _ = net.port_span(br.node_b)
-        block = _kind_block(br.kind, width)
-        _stamp(entries, off_a, off_a, block, +1)
-        _stamp(entries, off_b, off_b, block, +1)
-        _stamp(entries, off_a, off_b, block, -1)
-        _stamp(entries, off_b, off_a, block, -1)
-    return RationalMatrix(entries, hints=_structure_hints(net))
+    return RationalMatrix(_assemble(net, net.components()),
+                          hints=_structure_hints(net))
 
 
 def branch_admittance_matrix(net: NetworkModel) -> RationalMatrix:
     """Branch-only nodal matrix (shunt apparatus excluded)."""
-    n = net.size
-    entries = [[RationalFunction.zero() for _ in range(n)] for _ in range(n)]
-    for br in net.branches:
-        off_a, width = net.port_span(br.node_a)
-        off_b, _ = net.port_span(br.node_b)
-        block = _kind_block(br.kind, width)
-        _stamp(entries, off_a, off_a, block, +1)
-        _stamp(entries, off_b, off_b, block, +1)
-        _stamp(entries, off_a, off_b, block, -1)
-        _stamp(entries, off_b, off_a, block, -1)
-    return RationalMatrix(entries)
+    return RationalMatrix(_assemble(net, net.branches))
 
 
 def apparatus_admittance_matrix(net: NetworkModel) -> RationalMatrix:
     """Block-diagonal matrix of combined shunt admittances per node."""
     if net.has_spectrum_apparatus():
         raise ModelDataError("rational model required; use measurement route")
-    n = net.size
-    entries = [[RationalFunction.zero() for _ in range(n)] for _ in range(n)]
-    for sh in net.shunts:
-        off, width = net.port_span(sh.node)
-        _stamp(entries, off, off, _kind_block(sh.kind, width), +1)
-    return RationalMatrix(entries)
+    return RationalMatrix(_assemble(net, net.shunts))
 
 
 def apparatus_impedance_matrix(net: NetworkModel):
@@ -587,19 +589,7 @@ def build_ysys(net: NetworkModel, check_tol: float = 1e-8) -> RationalMatrix:
 def incidence_pattern(net: NetworkModel, component_name: str) -> IncidencePattern:
     """Where (and with which sign) a component's admittance enters the
     nodal matrix."""
-    comp = net.component(component_name)
-    if isinstance(comp, Shunt):
-        off, width = net.port_span(comp.node)
-        blocks = ((off, off, +1.0),)
-    else:
-        off_a, width = net.port_span(comp.node_a)
-        off_b, _ = net.port_span(comp.node_b)
-        blocks = (
-            (off_a, off_a, +1.0),
-            (off_b, off_b, +1.0),
-            (off_a, off_b, -1.0),
-            (off_b, off_a, -1.0),
-        )
+    width, blocks = _port_blocks(net, net.component(component_name))
     return IncidencePattern(component_name, net.size, width, blocks)
 
 

@@ -34,15 +34,50 @@ DET_CANCEL_REL = 1e-6
 # Imaginary parts below this (relative to the largest coefficient) are
 # dropped when a polynomial is rebuilt from a conjugate-closed root set.
 REALIFY_REL = 1e-12
+# Largest matrix whose determinant and adjugate are expanded symbolically.
+# Beyond it the expansion is neither affordable nor accurate; callers
+# evaluate the matrix pointwise instead.
+SYMBOLIC_DIM_LIMIT = 8
 
 __all__ = [
     "Polynomial",
     "RationalFunction",
     "RationalMatrix",
+    "SymbolicDimensionError",
     "poly_roots",
     "rat_det",
     "rat_derivative",
 ]
+
+
+class SymbolicDimensionError(ArithmeticError):
+    """Symbolic determinant or adjugate asked of a matrix above
+    ``SYMBOLIC_DIM_LIMIT``."""
+
+
+def _check_symbolic_dim(n: int) -> None:
+    if n > SYMBOLIC_DIM_LIMIT:
+        raise SymbolicDimensionError(
+            f"symbolic determinant and adjugate are limited to dimension "
+            f"{SYMBOLIC_DIM_LIMIT}, got {n}; evaluate the matrix pointwise instead"
+        )
+
+
+def _nearest_root(pool, r, taken=None):
+    """Index of the entry of ``pool`` nearest ``r``, and its distance.
+
+    Ties go to the first index; entries flagged in ``taken`` are passed
+    over.  Returns ``(-1, inf)`` when nothing is left to match.  Callers
+    apply their own tolerance to the distance.
+    """
+    best, best_d = -1, np.inf
+    for k, candidate in enumerate(pool):
+        if taken is not None and taken[k]:
+            continue
+        d = abs(candidate - r)
+        if d < best_d:
+            best, best_d = k, d
+    return best, best_d
 
 
 class Polynomial:
@@ -89,11 +124,6 @@ class Polynomial:
     @classmethod
     def one(cls) -> "Polynomial":
         return cls._raw(1.0 + 0j, np.array([1.0 + 0j]), factors=())
-
-    @classmethod
-    def variable(cls) -> "Polynomial":
-        """The polynomial ``s``."""
-        return cls._raw(1.0 + 0j, np.array([0j, 1.0 + 0j]), factors=(0j,))
 
     @classmethod
     def from_roots(cls, roots: Sequence[complex], gain: complex = 1.0) -> "Polynomial":
@@ -194,29 +224,6 @@ class Polynomial:
             return Polynomial.zero()
         c = self.coeffs
         return Polynomial(c[1:] * np.arange(1, len(c)))
-
-    def divide_exact(self, divisor: "Polynomial") -> "Polynomial":
-        """Long division, discarding the (assumed negligible) remainder.
-
-        Used by the fraction-free determinant elimination, where divisions
-        are exact in exact arithmetic.
-        """
-        if divisor.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero:
-            return Polynomial.zero()
-        num = self.monic.copy()
-        den = divisor.monic
-        dn, dd = len(num) - 1, len(den) - 1
-        if dn < dd:
-            return Polynomial.zero()
-        quot = np.zeros(dn - dd + 1, dtype=complex)
-        for k in range(dn - dd, -1, -1):
-            q = num[k + dd]
-            quot[k] = q
-            if q != 0:
-                num[k : k + dd + 1] -= q * den
-        return Polynomial(quot) * (self.gain / divisor.gain)
 
     def magnitude_bound(self, radius: float) -> float:
         """Sum of |coefficient| * radius^k; bounds |p| on that circle."""
@@ -395,13 +402,8 @@ class RationalFunction:
         keep_den = []
         cancelled = False
         for dr in den_roots:
-            tol = cancel_rel * (1.0 + abs(dr))
-            best, best_dist = -1, tol
-            for i, nr in enumerate(num_roots):
-                dist = abs(nr - dr)
-                if dist < best_dist:
-                    best, best_dist = i, dist
-            if best >= 0:
+            best, dist = _nearest_root(num_roots, dr)
+            if dist < cancel_rel * (1.0 + abs(dr)):
                 num_roots.pop(best)
                 cancelled = True
             else:
@@ -500,12 +502,6 @@ class RationalMatrix:
                 out[:, i, j] = self.entries[i][j](s_values)
         return out
 
-    def transpose(self) -> "RationalMatrix":
-        n = self.dim
-        return RationalMatrix(
-            [[self.entries[j][i] for j in range(n)] for i in range(n)]
-        )
-
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         self._check_dim(other)
         return RationalMatrix(
@@ -560,8 +556,10 @@ class RationalMatrix:
         determinant is taken.  With structure hints the spare factors are
         guaranteed divisors and are deflated outright; otherwise common
         factors are identified by an argument-principle survey around the
-        accurately-known denominator roots.
+        accurately-known denominator roots.  Raises
+        :class:`SymbolicDimensionError` above ``SYMBOLIC_DIM_LIMIT``.
         """
+        _check_symbolic_dim(self.dim)
         cleared, row_factors = _cleared_rows(self.entries)
         det_poly = _poly_det(cleared, tuple(range(self.dim)), tuple(range(self.dim)), {})
         all_roots = [r for row in row_factors for r in row]
@@ -598,14 +596,14 @@ class RationalMatrix:
         return base
 
     def adjugate(self) -> "RationalMatrix":
-        """Symbolic adjugate via cofactors with memoized polynomial minors."""
+        """Symbolic adjugate via cofactors with memoized polynomial minors.
+
+        Raises :class:`SymbolicDimensionError` above ``SYMBOLIC_DIM_LIMIT``.
+        """
         n = self.dim
+        _check_symbolic_dim(n)
         if n == 1:
             return RationalMatrix([[RationalFunction.one()]])
-        if n > 8:
-            raise NotImplementedError(
-                "symbolic adjugate beyond dimension 8; evaluate pointwise instead"
-            )
         cleared, row_factors = _cleared_rows(self.entries)
         cache: dict = {}
         all_idx = tuple(range(n))
@@ -650,15 +648,8 @@ def _merge_root_multiset(pool: list, roots) -> None:
     """Grow ``pool`` to the multiset union (max multiplicity per cluster)."""
     taken = [False] * len(pool)
     for r in roots:
-        tol = CANCEL_REL * (1.0 + abs(r)) * 100.0
-        best, best_d = -1, tol
-        for k, existing in enumerate(pool):
-            if taken[k]:
-                continue
-            d = abs(existing - r)
-            if d < best_d:
-                best, best_d = k, d
-        if best >= 0:
+        best, d = _nearest_root(pool, r, taken)
+        if d < CANCEL_REL * (1.0 + abs(r)) * 100.0:
             taken[best] = True
         else:
             pool.append(complex(r))
@@ -669,13 +660,8 @@ def _multiset_without(pool: list, remove) -> list:
     """Pool minus one matched copy of each root in ``remove``."""
     out = list(pool)
     for r in remove:
-        tol = CANCEL_REL * (1.0 + abs(r)) * 100.0
-        best, best_d = -1, tol
-        for k, existing in enumerate(out):
-            d = abs(existing - r)
-            if d < best_d:
-                best, best_d = k, d
-        if best >= 0:
+        best, d = _nearest_root(out, r)
+        if d < CANCEL_REL * (1.0 + abs(r)) * 100.0:
             out.pop(best)
     return out
 
@@ -714,13 +700,11 @@ def _poly_det(grid, rows, cols, cache) -> Polynomial:
     """Determinant of a polynomial matrix over the given index subsets.
 
     Memoized cofactor expansion: division-free, so coefficient accuracy
-    survives the wide dynamic ranges these polynomials develop.  (Fraction-
-    free elimination loses the small cancelling factors in double precision
-    and is kept only as a fallback for matrices too large to expand.)
+    survives the wide dynamic ranges these polynomials develop (fraction-free
+    elimination loses the small cancelling factors in double precision).
+    Callers keep the size within ``SYMBOLIC_DIM_LIMIT``.
     """
     n = len(rows)
-    if n > 8:
-        return _poly_det_bareiss([[grid[i][j] for j in cols] for i in rows])
     key = (rows, cols)
     hit = cache.get(key)
     if hit is not None:
@@ -744,25 +728,6 @@ def _poly_det(grid, rows, cols, cache) -> Polynomial:
             out = out + term if k % 2 == 0 else out - term
     cache[key] = out
     return out
-
-
-def _poly_det_bareiss(m) -> Polynomial:
-    n = len(m)
-    m = [row[:] for row in m]
-    sign = 1.0
-    prev = Polynomial.one()
-    for k in range(n - 1):
-        if m[k][k].is_zero:
-            pivot = next((r for r in range(k + 1, n) if not m[r][k].is_zero), None)
-            if pivot is None:
-                return Polynomial.zero()
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]).divide_exact(prev)
-        prev = m[k][k]
-    return m[n - 1][n - 1] * sign
 
 
 # A certified factor root may claim the nearest computed root this far away
@@ -853,12 +818,8 @@ def _multiset_subtract(pool, remove):
     """
     out = list(pool)
     for r in remove:
-        best, best_dist = -1, np.inf
-        for i, candidate in enumerate(out):
-            dist = abs(candidate - r)
-            if dist < best_dist:
-                best, best_dist = i, dist
-        if best < 0 or best_dist > 1e-6 * (1.0 + abs(r)):
+        best, dist = _nearest_root(out, r)
+        if best < 0 or dist > 1e-6 * (1.0 + abs(r)):
             raise ValueError("denominator hint root not present in the row factors")
         out.pop(best)
     return out
@@ -878,8 +839,7 @@ def _deflate_guaranteed(poly: Polynomial, extra_roots, base_eval=None):
     for e in extra_roots:
         if not remaining:
             break
-        best = min(range(len(remaining)), key=lambda i: abs(remaining[i] - e))
-        remaining.pop(best)
+        remaining.pop(_nearest_root(remaining, e)[0])
         quotient.cancelled.append(complex(e))
     polished = [complex(quotient.newton_polish(x)) for x in remaining]
     return Polynomial.from_roots(polished, poly.gain)
@@ -906,13 +866,12 @@ def _cancel_known_roots(poly: Polynomial, den_roots):
     for r in den_roots:
         window = _CLUSTER_WINDOW * (1.0 + abs(r))
         floor = DET_CANCEL_REL * (1.0 + abs(r))
-        dists = sorted((abs(pr - r), i) for i, pr in enumerate(remaining))
-        if not dists or dists[0][0] >= window:
+        best, dist = _nearest_root(remaining, r)
+        if dist >= window:
             kept.append(r)
             continue
-        certified = _certify_factor_root(quotient, r, window, floor, dists[0][0])
-        if certified:
-            remaining.pop(dists[0][1])
+        if _certify_factor_root(quotient, r, window, floor, dist):
+            remaining.pop(best)
             quotient.cancelled.append(complex(r))
         else:
             kept.append(r)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from netmodal.cli import main
-from netmodal.statespace import build_state_space
+from netmodal.netfile import NetworkDocument, serialize_network
+from netmodal.statespace import build_state_space, random_rlc_network
 
 SAMPLE = "src/netmodal/data/three_node.net"
 
@@ -361,3 +362,69 @@ class TestJsonShape:
         code, _, err = run_cli(capsys, "modes", SAMPLE)
         assert code == 4
         assert "determinant zero" in err
+
+
+def nine_node_text():
+    net = random_rlc_network(np.random.default_rng(5), n_nodes=9)
+    return serialize_network(NetworkDocument("nine", "rads", net))
+
+
+EDGE_HEAD = "[meta]\nname = edge\nfrequency_unit = rads\n\n[node]\nid = 1\n"
+EDGE_FILES = {
+    "empty": "",
+    "lossless": EDGE_HEAD + "\n[shunt]\nnode = 1\nkind = rlc\nr = 0\nl = 1\nc = 1\n",
+    "zero-admittance": EDGE_HEAD
+    + "\n[shunt]\nnode = 1\nkind = rational\nnum = 0\nden = 1\n",
+    "capacitor-free-node": EDGE_HEAD
+    + "\n[node]\nid = 2\n"
+      "\n[shunt]\nnode = 1\nkind = rlc\nr = 1\nl = 1\nc = 1\n"
+      "\n[shunt]\nnode = 2\nkind = series-rl\nr = 1\nl = 1\n"
+      "\n[branch]\nfrom = 1\nto = 2\nkind = series-rl\nr = 0.5\nl = 0.5\n",
+    "two-port": EDGE_HEAD.replace("id = 1\n", "id = 1\nports = 2\n")
+    + "\n[shunt]\nnode = 1\nkind = rational\n"
+      "num_11 = 1 1\nden_11 = 1 1 1\nnum_12 = 0.1\nden_12 = 1\n"
+      "num_21 = 0.1\nden_21 = 1\nnum_22 = 2 1\nden_22 = 2 1 1\n",
+    "spectrum": EDGE_HEAD + "\n[shunt]\nnode = 1\nkind = spectrum\nfile = Z_1_1.csv\n",
+    "nine-node": nine_node_text(),
+}
+SCAN_GRID = ("--fmin", "0.1", "--fmax", "10", "--points", "3")
+
+
+def edge_file(tmp_path, name):
+    path = tmp_path / f"{name}.net"
+    path.write_text(EDGE_FILES[name])
+    return str(path)
+
+
+class TestExitCodeContract:
+    @pytest.mark.parametrize("name", sorted(EDGE_FILES))
+    def test_every_command_exits_with_a_documented_code(self, capsys, tmp_path, name):
+        path = edge_file(tmp_path, name)
+        for argv in (
+            ("modes", path),
+            ("greybox", path, "--mode", "0"),
+            ("tune", path, "--param", "A1.R", "--pct", "1"),
+            ("scan", path, *SCAN_GRID, "--entry", "1,1"),
+            ("scan", path, *SCAN_GRID, "--entry", "all", "--out-dir", str(tmp_path / "out")),
+        ):
+            code, _, err = run_cli(capsys, *argv)
+            assert code in (0, 2, 3, 4), (argv, err)
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["lossless", "zero-admittance"])
+    def test_scan_through_a_singular_point_exit_4(self, capsys, tmp_path, name):
+        code, _, err = run_cli(capsys, "scan", edge_file(tmp_path, name), *SCAN_GRID,
+                               "--entry", "1,1")
+        assert code == 4
+        assert "singular" in err
+
+    def test_tune_of_a_zero_parameter_exit_3(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "tune", edge_file(tmp_path, "lossless"),
+                               "--param", "A1.R", "--pct", "1")
+        assert code == 3
+        assert "A1.R" in err
+
+    def test_modes_above_the_symbolic_limit_exit_4(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "modes", edge_file(tmp_path, "nine-node"))
+        assert code == 4
+        assert "dimension 8" in err

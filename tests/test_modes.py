@@ -18,7 +18,7 @@ from netmodal.network import (
     build_zsys,
 )
 from netmodal.rational import RationalFunction, RationalMatrix
-from netmodal.statespace import build_state_space, track_mode
+from netmodal.statespace import build_state_space, random_rlc_network, track_mode
 
 
 def parallel_rlc(r=1.0, l=1.0, c=1.0):
@@ -233,17 +233,62 @@ class TestCorpusInvariants:
                 assert art.left_null @ art.right_null == pytest.approx(1.0, abs=1e-10)
 
 
+def state_space_residue(net, lam):
+    """Residue C r l^T B of Z(s) = C (sI - A)^-1 B at the state-matrix
+    eigenvalue nearest ``lam``; inputs are node current injections and
+    outputs node voltages (one shunt capacitor per node)."""
+    a = build_state_space(net).matrix
+    n = len(net.nodes)
+    cap = {sh.node: sh.kind.capacitance for sh in net.shunts}
+    b = np.zeros((a.shape[0], n))
+    for k, node in enumerate(net.nodes):
+        b[k, k] = 1.0 / cap[node.id]
+    eigs, right = np.linalg.eig(a)
+    left = np.linalg.inv(right)
+    k = int(np.argmin(np.abs(eigs - lam)))
+    return eigs[k], np.outer(right[:n, k], left[k] @ b)
+
+
+def eight_node_net(index):
+    rng = np.random.default_rng(106)
+    for _ in range(index):
+        random_rlc_network(rng, n_nodes=8)
+    return random_rlc_network(rng, n_nodes=8)
+
+
 class TestLargeMatrixAdjugate:
-    def test_richardson_route_matches_cofactors(self, three_node_model):
-        # above dimension 5 the adjugate comes from det * inverse sampled
-        # off the singular point with Richardson extrapolation
+    @pytest.mark.parametrize("index", [1, 3])
+    def test_residue_matches_state_space_on_eight_nodes(self, index):
+        # net 3 is one on which the expanded determinant loses modes; the
+        # artifacts must not depend on it
+        net = eight_node_net(index)
+        eigs = build_state_space(net).eigenvalues()
+        upper = eigs[eigs.imag > 1e-8 * (1.0 + np.abs(eigs))]
+        target = complex(min(upper, key=lambda z: -z.real / abs(z)))
+        lam, want = state_space_residue(net, target)
+        art = mode_artifacts(build_ynodal(net), lam)
+        assert abs(art.eigenvalue - lam) < 1e-10 * abs(lam)
+        assert np.linalg.norm(art.residue - want) < 1e-12 * np.linalg.norm(want)
+
+    def test_det_slope_is_derivative_of_det(self, three_node_model):
         _, ynodal, det, modes = three_node_model
-        from netmodal.modes import _adjugate_numeric, _adjugate_richardson
+        for m in modes:
+            art = mode_artifacts(ynodal, m.eigenvalue, det=det)
+            want = det.derivative_at(art.eigenvalue)
+            assert abs(art.det_slope - want) < 1e-12 * abs(want)
+
+    def test_artifacts_never_consult_det(self, three_node_model, monkeypatch):
+        _, ynodal, det, modes = three_node_model
         lam = next(m.eigenvalue for m in modes if m.eigenvalue.imag > 0)
-        direct = _adjugate_numeric(ynodal(lam))
-        extrapolated = _adjugate_richardson(ynodal, det, lam)
-        rel = np.linalg.norm(direct - extrapolated) / np.linalg.norm(direct)
-        assert rel < 1e-7
+        before = mode_artifacts(ynodal, lam, det=det)
+
+        def refuse(self):
+            raise AssertionError("mode_artifacts must not expand the determinant")
+
+        monkeypatch.setattr(RationalMatrix, "det", refuse)
+        after = mode_artifacts(ynodal, lam)
+        assert after.eigenvalue == before.eigenvalue
+        assert np.array_equal(after.residue, before.residue)
 
     def test_six_node_artifacts_consistent(self):
         from netmodal.statespace import random_rlc_network

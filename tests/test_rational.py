@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+from netmodal.modes import find_modes
+from netmodal.network import build_ynodal
 from netmodal.rational import (
     Polynomial,
     RationalFunction,
     RationalMatrix,
+    SymbolicDimensionError,
     poly_roots,
     rat_derivative,
     rat_det,
 )
+from netmodal.statespace import random_rlc_network
 
 
 def sorted_roots(values):
@@ -189,3 +193,13 @@ def test_ynodal_det_degree_matches_state_count(three_node_model):
     net, _, det, _ = three_node_model
     assert det.num.degree == 2 * len(net.nodes) + len(net.branches)
     assert det.den.degree == len(net.shunts) + len(net.branches)
+
+
+class TestSymbolicDimensionLimit:
+    def test_det_and_adjugate_refuse_above_eight(self):
+        ynodal = build_ynodal(random_rlc_network(np.random.default_rng(5), n_nodes=9))
+        with pytest.raises(SymbolicDimensionError, match="dimension 8"):
+            find_modes(ynodal)
+        with pytest.raises(SymbolicDimensionError, match="dimension 8"):
+            ynodal.adjugate()
+        assert issubclass(SymbolicDimensionError, ArithmeticError)
