@@ -106,7 +106,8 @@ def _check_residuals(ynodal, modes, tol: float) -> None:
     """Every simple reported mode must sit on a matrix-determinant zero.
 
     The Newton step length |det Y / (det Y)'| of the evaluated matrix at the
-    reported eigenvalue estimates its distance to the nearest true zero.
+    reported eigenvalue estimates its distance to the nearest true zero; a
+    distance that is not finite (Y has an entry pole there) fails too.
     Near-repeated modes are skipped: their positions are inherently fuzzy
     and they are already flagged in the listing.
     """
@@ -115,7 +116,7 @@ def _check_residuals(ynodal, modes, tol: float) -> None:
             continue
         lam = m.eigenvalue
         distance = abs(det_newton_step(ynodal, lam)) / (1.0 + abs(lam))
-        if distance > tol:
+        if not distance <= tol:
             raise ArithmeticError(
                 f"mode {lam:.6g} is {distance:.2e} away from a determinant "
                 "zero; tolerance exceeded"

@@ -35,6 +35,11 @@ class ResidueConvergenceError(RuntimeError):
     """The shrinking-radius residue limit failed to settle."""
 
 
+class SingularDeterminantError(ArithmeticError):
+    """The admittance determinant is identically zero: Y(s) is singular at
+    every s, so there are no isolated modes to list."""
+
+
 @dataclass
 class Mode:
     """One determinant zero together with its optional artifacts."""
@@ -107,9 +112,14 @@ def find_modes(ynodal: RationalMatrix, det: Optional[RationalFunction] = None) -
 
     Modes closer than ``NEAR_REPEATED_REL`` (relatively) to another mode are
     flagged ``near_repeated``; the sensitivity theory downstream assumes
-    simple modes and refuses them.
+    simple modes and refuses them.  Raises :class:`SingularDeterminantError`
+    when the determinant is identically zero.
     """
     det_rf = det if det is not None else ynodal.det()
+    if det_rf.is_zero:
+        raise SingularDeterminantError(
+            "admittance determinant is identically zero; the network has no isolated modes"
+        )
     if det_rf.num.degree == 0:
         return []
     roots = det_rf.num.roots()
@@ -153,25 +163,23 @@ def _adjugate_numeric(matrix: np.ndarray) -> np.ndarray:
     return adj
 
 
-def _slope_matrix(ynodal: RationalMatrix, s: complex) -> np.ndarray:
-    """Entrywise derivative Y'(s) of the matrix, evaluated at ``s``."""
-    return np.array([[e.derivative_at(s) for e in row] for row in ynodal.entries])
-
-
 def det_newton_step(ynodal: RationalMatrix, lam: complex) -> complex:
     """Newton step det Y / (det Y)' at ``lam``, from Y(lam) and Y'(lam) alone.
 
     By Jacobi's formula (det Y)' = det Y * tr(Y^-1 Y'), so the step is
     1 / tr(Y^-1 Y') and needs neither the expanded determinant nor a
     difference quotient.  It is zero where Y(lam) is exactly singular and
-    infinite where the trace vanishes.
+    infinite where the trace vanishes; at an entry pole it is not finite,
+    and callers treat that as a failed step, so the division warnings are
+    muted.
     """
-    y_at, slope = ynodal(lam), _slope_matrix(ynodal, lam)
-    try:
-        trace = np.trace(np.linalg.solve(y_at, slope))
-    except np.linalg.LinAlgError:
-        return 0j
-    return 1.0 / trace if trace != 0 else complex(np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y_at, slope = ynodal(lam), ynodal.derivative_at(lam)
+        try:
+            trace = np.trace(np.linalg.solve(y_at, slope))
+        except np.linalg.LinAlgError:
+            return 0j
+        return 1.0 / trace if trace != 0 else complex(np.inf)
 
 
 def _refine_eigenvalue(ynodal: RationalMatrix, lam: complex, steps: int = 3) -> complex:
@@ -236,7 +244,7 @@ def mode_artifacts(ynodal: RationalMatrix, lam: complex,
     left = left / pairing
 
     adj = _adjugate_numeric(y_at)
-    slope = np.trace(adj @ _slope_matrix(ynodal, lam))
+    slope = np.trace(adj @ ynodal.derivative_at(lam))
     trace = np.trace(adj)
     scale = -trace / slope
     residue = adj / slope

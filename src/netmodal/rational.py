@@ -382,9 +382,8 @@ class RationalFunction:
 
     def derivative_at(self, s: complex) -> complex:
         """Derivative value at a point without forming the symbolic quotient."""
-        n, d = self.num, self.den
-        dv = d(s)
-        return (n.derivative()(s) * dv - n(s) * d.derivative()(s)) / (dv * dv)
+        return _quotient_slope(self.num, self.num.derivative(),
+                               self.den, self.den.derivative(), s)
 
     def normalized(self, cancel_rel: float = CANCEL_REL) -> "RationalFunction":
         """Cancel numerator/denominator roots that agree within tolerance.
@@ -439,10 +438,62 @@ class MatrixStructureHints:
         self.minor_den_roots = minor_den_roots  # (removed_row, removed_col) -> roots
 
 
-class RationalMatrix:
-    """Square matrix of rational functions."""
+def _quotient_slope(num, dnum, den, dden, s):
+    """Quotient-rule value (n'd - nd') / d^2 at ``s`` from the four polynomials."""
+    dv = den(s)
+    return (dnum(s) * dv - num(s) * dden(s)) / (dv * dv)
 
-    __slots__ = ("dim", "entries", "hints")
+
+def _poly_key(p: Polynomial) -> tuple:
+    factors = None if p.factors is None else np.asarray(p.factors, dtype=complex).tobytes()
+    return (np.complex128(p.gain).tobytes(), p.monic.tobytes(), factors)
+
+
+class _EvalPlan:
+    """The distinct entries of a matrix and an ``(n, n)`` index into them.
+
+    Entries merge only when their gains, monic coefficients and factors are
+    bitwise equal, so evaluating each distinct entry once per point gives
+    exactly the values of a per-entry loop.
+    """
+
+    __slots__ = ("entries", "index", "_slopes")
+
+    def __init__(self, grid):
+        distinct, index, seen = [], [], {}
+        for row in grid:
+            for e in row:
+                k = seen.setdefault((_poly_key(e.num), _poly_key(e.den)), len(distinct))
+                if k == len(distinct):
+                    distinct.append(e)
+                index.append(k)
+        self.entries = tuple(distinct)
+        self.index = np.array(index, dtype=np.intp).reshape(len(grid), len(grid))
+        self._slopes = None
+
+    def slopes(self) -> tuple:
+        """Per distinct entry: num, num', den and den' (built on first use)."""
+        if self._slopes is None:
+            self._slopes = tuple(
+                (e.num, e.num.derivative(), e.den, e.den.derivative()) for e in self.entries
+            )
+        return self._slopes
+
+
+class RationalMatrix:
+    """Square matrix of rational functions.
+
+    Pointwise readers (``__call__``, ``eval_grid``, ``derivative_at`` and the
+    minor evaluator of ``det``/``adjugate``) share one evaluation plan, built
+    lazily on first use and cached: the distinct entries (bitwise equal ones
+    merged, e.g. symmetric halves and zeros) and an index into them.  Each
+    distinct entry is evaluated once per point, with the same arithmetic as
+    the entry itself, so values are bit-identical to a per-entry loop.
+    Building the plan is idempotent, so a matrix stays shareable without
+    locking.
+    """
+
+    __slots__ = ("dim", "entries", "hints", "_plan")
 
     def __init__(self, entries: Sequence[Sequence[RationalFunction]], hints=None):
         rows = tuple(tuple(self._coerce(e) for e in row) for row in entries)
@@ -452,6 +503,13 @@ class RationalMatrix:
         self.dim = n
         self.entries = rows
         self.hints = hints
+        self._plan = None
+
+    def _evaluation_plan(self) -> _EvalPlan:
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = _EvalPlan(self.entries)
+        return plan
 
     @staticmethod
     def _coerce(value) -> RationalFunction:
@@ -485,22 +543,25 @@ class RationalMatrix:
 
     def __call__(self, s: complex) -> np.ndarray:
         """Pointwise evaluation to an ``(n, n)`` complex array."""
-        n = self.dim
-        out = np.empty((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = self.entries[i][j](s)
-        return out
+        plan = self._evaluation_plan()
+        return np.array([e(s) for e in plan.entries], dtype=complex)[plan.index]
 
     def eval_grid(self, s_values: np.ndarray) -> np.ndarray:
-        """Evaluate on a 1-D grid of points, returning ``(len(s), n, n)``."""
+        """Evaluate on a 1-D grid of points, returning a C-contiguous
+        ``(len(s), n, n)`` array."""
         s_values = np.asarray(s_values, dtype=complex)
-        n = self.dim
-        out = np.empty((s_values.size, n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                out[:, i, j] = self.entries[i][j](s_values)
-        return out
+        plan = self._evaluation_plan()
+        values = np.empty((s_values.size, len(plan.entries)), dtype=complex)
+        for k, e in enumerate(plan.entries):
+            values[:, k] = e(s_values)
+        return np.take(values, plan.index, axis=1)
+
+    def derivative_at(self, s: complex) -> np.ndarray:
+        """Entrywise derivative Y'(s) as an ``(n, n)`` complex array, with
+        the arithmetic of :meth:`RationalFunction.derivative_at`."""
+        plan = self._evaluation_plan()
+        slopes = [_quotient_slope(*polys, s) for polys in plan.slopes()]
+        return np.array(slopes, dtype=complex)[plan.index]
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         self._check_dim(other)
@@ -578,17 +639,21 @@ class RationalMatrix:
     def _exact_minor_eval(self, rows, cols, row_factors):
         """Evaluator for a cleared minor with an LU-determinant noise floor.
 
-        Probing can land on an entry pole; the resulting non-finite value is
-        handled by the caller's guards, so the division warnings are muted.
+        Each call evaluates only the distinct entries inside the minor's rows
+        and columns and assembles the submatrix from them directly.  Probing
+        can land on an entry pole; the resulting non-finite value is handled
+        by the caller's guards, so the division warnings are muted.
         """
         multipliers = [Polynomial.from_roots(row_factors[r], 1.0) for r in rows]
-        rows = np.asarray(rows)
-        cols = np.asarray(cols)
+        plan = self._evaluation_plan()
+        used, local = np.unique(plan.index[np.ix_(rows, cols)], return_inverse=True)
+        entries = [plan.entries[k] for k in used]
+        local = local.reshape(len(rows), len(cols))
 
         def base(s: complex) -> complex:
             with np.errstate(divide="ignore", invalid="ignore"):
-                full = self(s)
-                value = np.linalg.det(full[np.ix_(rows, cols)])
+                values = np.array([e(s) for e in entries], dtype=complex)
+                value = np.linalg.det(values[local])
             for p in multipliers:
                 value *= p(s)
             return value
@@ -784,12 +849,18 @@ class _DeflatedQuotient:
     def newton_polish(self, x0: complex, steps: int = 8) -> complex:
         """Damped Newton refinement of a quotient root, with the slope taken
         by central differences (the analytic quotient-rule slope cancels
-        catastrophically next to a deflated root)."""
+        catastrophically next to a deflated root).
+
+        The value at the current point is kept from the step that accepted
+        it, so each step evaluates the quotient three times: at the two
+        difference points and at the trial point.
+        """
         x = x0
         if self.cancelled and min(abs(x - r) for r in self.cancelled) \
                 < 1e-12 * (1.0 + abs(x)):
             x = x + 1e-9 * (1.0 + abs(x))
-        fx = abs(self.value(x))
+        vx = self.value(x)
+        fx = abs(vx)
         if not np.isfinite(fx):
             return x0
         for _ in range(steps):
@@ -797,16 +868,17 @@ class _DeflatedQuotient:
             slope = (self.value(x + h) - self.value(x - h)) / (2.0 * h)
             if slope == 0 or not np.isfinite(slope):
                 break
-            trial = x - self.value(x) / slope
+            trial = x - vx / slope
             if not np.isfinite(trial):
                 break
             if self.cancelled and min(abs(trial - r) for r in self.cancelled) \
                     < 1e-13 * (1.0 + abs(trial)):
                 break
-            ft = abs(self.value(trial))
+            vt = self.value(trial)
+            ft = abs(vt)
             if not np.isfinite(ft) or ft >= fx:
                 break
-            x, fx = trial, ft
+            x, vx, fx = trial, vt, ft
         return x
 
 

@@ -418,6 +418,18 @@ class TestExitCodeContract:
         assert code == 4
         assert "singular" in err
 
+    @pytest.mark.parametrize("name, message", [
+        # Y has an entry pole at the spurious listed mode -1, so its Newton
+        # distance is NaN, which must fail the check rather than pass it
+        ("capacitor-free-node", "away from a determinant zero"),
+        ("zero-admittance", "identically zero"),
+    ])
+    def test_modes_without_a_checked_listing_exit_4(self, capsys, tmp_path, name, message):
+        code, out, err = run_cli(capsys, "modes", edge_file(tmp_path, name))
+        assert code == 4
+        assert message in err
+        assert out == ""
+
     def test_tune_of_a_zero_parameter_exit_3(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "tune", edge_file(tmp_path, "lossless"),
                                "--param", "A1.R", "--pct", "1")

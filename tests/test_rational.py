@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from netmodal.modes import find_modes
+from netmodal.netfile import parse_network_text
 from netmodal.network import build_ynodal
 from netmodal.rational import (
     Polynomial,
@@ -13,6 +14,7 @@ from netmodal.rational import (
     rat_det,
 )
 from netmodal.statespace import random_rlc_network
+from test_cli import EDGE_FILES
 
 
 def sorted_roots(values):
@@ -203,3 +205,57 @@ class TestSymbolicDimensionLimit:
         with pytest.raises(SymbolicDimensionError, match="dimension 8"):
             ynodal.adjugate()
         assert issubclass(SymbolicDimensionError, ArithmeticError)
+
+
+def _eight_node_net():
+    rng = np.random.default_rng(106)
+    random_rlc_network(rng, n_nodes=8)
+    return random_rlc_network(rng, n_nodes=8)
+
+
+class TestEvaluationExactness:
+    """Matrix readers evaluate each distinct entry once per point; the values
+    must be exactly those of a loop over the entries."""
+
+    POINTS = (0.3 + 2.1j, -0.05 + 4.5j, 1.7)
+    GRID = np.linspace(0.1, 10.0, 7) * 1j - 0.02
+
+    @pytest.fixture(scope="class",
+                    params=["sample", "two-port", "rng106-n8-1", "near-duplicates"])
+    def ynodal(self, request, three_node_net):
+        if request.param == "sample":
+            return build_ynodal(three_node_net)
+        if request.param == "two-port":
+            return build_ynodal(parse_network_text(EDGE_FILES["two-port"]).network)
+        if request.param == "rng106-n8-1":
+            return build_ynodal(_eight_node_net())
+        # entries sharing coefficients but not gain, sign or stored roots;
+        # product and Horner evaluation of one polynomial round differently
+        den = Polynomial([2.0, 1.0, 1.0])
+        rooted = Polynomial.from_roots([-0.3 + 1.1j, -0.3 - 1.1j], 0.7)
+        base = RationalFunction(Polynomial._raw(rooted.gain, rooted.monic), den)
+        scaled = RationalFunction(Polynomial._raw(2.0 * rooted.gain, rooted.monic), den)
+        factored = RationalFunction(rooted, den)
+        return RationalMatrix([[base, scaled, factored],
+                               [scaled, base, -base],
+                               [factored, -base, base]])
+
+    def test_pointwise_values(self, ynodal):
+        for s in self.POINTS:
+            expected = np.array([[e(s) for e in row] for row in ynodal.entries])
+            assert np.array_equal(ynodal(s), expected)
+
+    def test_grid_values_are_c_contiguous(self, ynodal):
+        n = ynodal.dim
+        expected = np.empty((self.GRID.size, n, n), dtype=complex)
+        for i, row in enumerate(ynodal.entries):
+            for j, e in enumerate(row):
+                expected[:, i, j] = e(self.GRID)
+        grid = ynodal.eval_grid(self.GRID)
+        assert np.array_equal(grid, expected)
+        assert grid.flags["C_CONTIGUOUS"]
+
+    def test_derivative_values(self, ynodal):
+        for s in self.POINTS:
+            expected = np.array([[e.derivative_at(s) for e in row] for row in ynodal.entries])
+            assert np.array_equal(ynodal.derivative_at(s), expected)
