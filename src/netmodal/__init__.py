@@ -20,6 +20,7 @@ from .network import (
     ShuntCapacitor,
     ShuntRLC,
     SpectrumRef,
+    admittance_block,
     build_ynodal,
     build_ysys,
     build_zsys,

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .greybox import component_factors, mode_report
+from .greybox import component_factor, mode_report, parameter_factor
 from .modes import (
     OSCILLATORY_REL,
     RepeatedModeError,
@@ -35,7 +35,7 @@ from .netfile import (
     write_spectrum_csv,
 )
 from .network import ModelDataError, build_ynodal
-from .sensitivity import parameter_sensitivity_factor, predict_tuning, prediction_error
+from .sensitivity import predict_tuning, prediction_error
 from .statespace import TrackingError, track_mode
 from .vectorfit import FitSetupError, SpectrumSamples, fit as vf_fit
 
@@ -436,10 +436,8 @@ def cmd_tune(args) -> int:
     results = []
     for target in targets:
         art = mode_artifacts(ynodal, target.eigenvalue, det=det)
-        factors = {f.component: f for f in component_factors(doc.network, art)}
-        dy = comp.kind.param_derivative(param, art.eigenvalue)
-        ps = parameter_sensitivity_factor(factors[comp_name], param, dy, rho)
-        predicted = predict_tuning(ps, fraction)
+        factor = component_factor(doc.network, comp, art)
+        predicted = predict_tuning(parameter_factor(comp, factor, param, art), fraction)
         moved = track_mode(bumped_modes, art.eigenvalue)
         actual = moved - art.eigenvalue
         error = prediction_error(predicted, actual)

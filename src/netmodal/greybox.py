@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .modes import Mode, mode_artifacts
-from .network import NetworkModel, RationalBlock, incidence_pattern
+from .network import NetworkModel, admittance_block, incidence_pattern
 from .rational import RationalMatrix
 from .sensitivity import (
     ParamSensitivity,
@@ -102,39 +102,37 @@ def layer3_guidance(param_sens: Sequence[ParamSensitivity], fraction: float,
     return kept, guidance
 
 
+def component_factor(net: NetworkModel, comp, mode: Mode) -> SensitivityFactor:
+    """Admittance sensitivity factor of one component, its admittance block
+    evaluated at the mode."""
+    pattern = incidence_pattern(net, comp.name)
+    grid = admittance_block(comp.kind, pattern.width)
+    y = np.array([[entry(mode.eigenvalue) for entry in row] for row in grid])
+    return admittance_sensitivity_factor(mode, pattern, y)
+
+
+def parameter_factor(comp, factor: SensitivityFactor, param: str,
+                     mode: Mode) -> ParamSensitivity:
+    """Parameter sensitivity factor of one scalar component parameter: the
+    derivative of its admittance block is dy/drho on every port."""
+    dy = comp.kind.param_derivative(param, mode.eigenvalue) * np.eye(len(factor.block))
+    return parameter_sensitivity_factor(factor, param, dy, comp.kind.params[param])
+
+
 def component_factors(net: NetworkModel, mode: Mode):
     """Admittance sensitivity factors for every component of the network."""
-    lam = mode.eigenvalue
-    factors = []
-    for comp in net.components():
-        pattern = incidence_pattern(net, comp.name)
-        kind = comp.kind
-        if isinstance(kind, RationalBlock) and kind.width > 1:
-            y = np.array(
-                [[entry(lam) for entry in row] for row in kind.blocks]
-            )
-        else:
-            y = kind.admittance()(lam) if not isinstance(kind, RationalBlock) \
-                else kind.blocks[0][0](lam)
-        factors.append(admittance_sensitivity_factor(mode, pattern, y))
-    return factors
+    return [component_factor(net, comp, mode) for comp in net.components()]
 
 
 def parameter_factors(net: NetworkModel, mode: Mode,
                       factors: Sequence[SensitivityFactor]):
     """Parameter sensitivity factors for every tunable (component, param)."""
-    lam = mode.eigenvalue
     by_name = {f.component: f for f in factors}
-    out = []
-    for comp in net.components():
-        params = comp.kind.params
-        if not params:
-            continue
-        factor = by_name[comp.name]
-        for name, rho in params.items():
-            dy = comp.kind.param_derivative(name, lam)
-            out.append(parameter_sensitivity_factor(factor, name, dy, rho))
-    return out
+    return [
+        parameter_factor(comp, by_name[comp.name], param, mode)
+        for comp in net.components()
+        for param in comp.kind.params
+    ]
 
 
 def mode_report(net: NetworkModel, ynodal: RationalMatrix, mode: Mode,

@@ -268,9 +268,14 @@ def mode_artifacts(ynodal: RationalMatrix, lam: complex,
     )
 
 
-def residue_by_limit(zsys: RationalMatrix, lam: complex, *,
-                     points: int = 64, agree_rel: float = 1e-8,
-                     start_radius: Optional[float] = None) -> np.ndarray:
+# Ring size, agreement tolerance between consecutive radii and the first
+# radius (relative to 1 + |lam|) of residue_by_limit.
+LIMIT_POINTS = 64
+LIMIT_AGREE_REL = 1e-8
+LIMIT_START_RADIUS = 1e-2
+
+
+def residue_by_limit(zsys: RationalMatrix, lam: complex) -> np.ndarray:
     """Residue matrix of the impedance model at a simple pole.
 
     Averages ``(s - lam) * Z(s)`` around circles of shrinking radius; for a
@@ -279,8 +284,8 @@ def residue_by_limit(zsys: RationalMatrix, lam: complex, *,
     and the larger radius of the agreeing pair wins (polynomial evaluation
     gets noisier the closer the ring shrinks onto the pole).
     """
-    radius = start_radius if start_radius is not None else 1e-2 * (1.0 + abs(lam))
-    theta = 2.0 * np.pi * np.arange(points) / points
+    radius = LIMIT_START_RADIUS * (1.0 + abs(lam))
+    theta = 2.0 * np.pi * np.arange(LIMIT_POINTS) / LIMIT_POINTS
     ring = np.exp(1j * theta)
     previous = None
     for k in range(4):
@@ -290,7 +295,7 @@ def residue_by_limit(zsys: RationalMatrix, lam: complex, *,
         mean = np.mean((r * ring)[:, None, None] * values, axis=0)
         if previous is not None:
             scale = max(float(np.linalg.norm(mean)), 1e-300)
-            if np.linalg.norm(mean - previous) <= agree_rel * scale:
+            if np.linalg.norm(mean - previous) <= LIMIT_AGREE_REL * scale:
                 return previous
         previous = mean
     raise ResidueConvergenceError(

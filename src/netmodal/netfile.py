@@ -36,8 +36,17 @@ _SECTION_RE = re.compile(r"^\[([^\]]*)\]\s*$")
 _KEY_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)\s*=\s*(.*?)\s*$")
 
 _KNOWN_SECTIONS = ("meta", "node", "shunt", "branch")
-_SHUNT_KINDS = ("rlc", "series-rl", "c", "rational", "spectrum")
-_BRANCH_KINDS = ("series-rl", "rational")
+# Each ``kind`` keyword and its class.  An R/L/C class reads one key per
+# parameter, the parameter name in lower case, in ``FIELDS`` order.
+_KINDS = {
+    "rlc": ShuntRLC,
+    "series-rl": SeriesRL,
+    "c": ShuntCapacitor,
+    "rational": RationalBlock,
+    "spectrum": SpectrumRef,
+}
+_KEYWORDS = {cls: keyword for keyword, cls in _KINDS.items()}
+_SECTION_KINDS = {"shunt": tuple(_KINDS), "branch": ("series-rl", "rational")}
 
 
 class NetworkFileError(ValueError):
@@ -135,22 +144,29 @@ def _split_sections(text: str):
     return sections
 
 
-def _parse_rational_entry(section: _Section, ports: int):
-    def coeffs(key):
-        entry = section.take(key, required=True)
-        return _float_list(*entry)
+def _rational_suffix(width: int, p: int, q: int) -> str:
+    """Key suffix of block entry (p, q): none for one port, ``_11`` ... else."""
+    return "" if width == 1 else f"_{p+1}{q+1}"
 
-    if ports == 1:
-        keys = [("num", "den")]
-        grid = [[None]]
-        positions = [(0, 0)]
-    else:
-        positions = [(p, q) for p in range(2) for q in range(2)]
-        keys = [(f"num_{p+1}{q+1}", f"den_{p+1}{q+1}") for p, q in positions]
-        grid = [[None, None], [None, None]]
-    for (p, q), (num_key, den_key) in zip(positions, keys):
-        grid[p][q] = RationalFunction(coeffs(num_key), coeffs(den_key))
-    return RationalBlock(tuple(tuple(row) for row in grid))
+
+def _parse_rational_entry(section: _Section, ports: int):
+    def entry(p, q):
+        num, den = (_float_list(*section.take(key + _rational_suffix(ports, p, q),
+                                              required=True))
+                    for key in ("num", "den"))
+        return RationalFunction(num, den)
+
+    return RationalBlock(tuple(tuple(entry(p, q) for q in range(ports))
+                               for p in range(ports)))
+
+
+def _parse_kind(cls, section: _Section, ports: int):
+    if cls is RationalBlock:
+        return _parse_rational_entry(section, ports)
+    if cls is SpectrumRef:
+        return SpectrumRef(section.take("file", required=True)[0])
+    return cls(*(_float(*section.take(name.lower(), required=True))
+                 for name in cls.FIELDS))
 
 
 def parse_network_text(text: str) -> NetworkDocument:
@@ -189,7 +205,7 @@ def parse_network_text(text: str) -> NetworkDocument:
 
     used_names = set()
 
-    def unique_name(base: str, entry, line: int) -> str:
+    def unique_name(base: str, entry) -> str:
         if entry is not None:
             name = entry[0]
             if name in used_names:
@@ -205,72 +221,35 @@ def parse_network_text(text: str) -> NetworkDocument:
 
     shunts, branches = [], []
     for s in sections:
+        if s.kind not in _SECTION_KINDS:
+            continue
+        ends = [s.take(key, required=True)
+                for key in (("node",) if s.kind == "shunt" else ("from", "to"))]
+        ids = [_int(*entry) for entry in ends]
+        for nid, entry in zip(ids, ends):
+            if nid not in ports_by_id:
+                raise NetworkFileError(f"unknown node {nid}", entry[1], entry[2])
+        kind_entry = s.take("kind", required=True)
+        keyword = kind_entry[0].lower()
+        allowed = _SECTION_KINDS[s.kind]
+        if keyword not in allowed:
+            raise NetworkFileError(
+                f"{s.kind} kind must be one of {', '.join(allowed)}",
+                kind_entry[1], kind_entry[2],
+            )
+        default = f"A{ids[0]}" if s.kind == "shunt" else f"B{ids[0]}-{ids[1]}"
+        name = unique_name(default, s.take("name"))
+        try:
+            kind = _parse_kind(_KINDS[keyword], s, ports_by_id[ids[0]])
+        except NetworkFileError:
+            raise
+        except ValueError as exc:
+            raise NetworkFileError(str(exc), s.line) from None
+        s.reject_leftovers()
         if s.kind == "shunt":
-            node_entry = s.take("node", required=True)
-            node = _int(*node_entry)
-            if node not in ports_by_id:
-                raise NetworkFileError(f"unknown node {node}", node_entry[1], node_entry[2])
-            kind_entry = s.take("kind", required=True)
-            kind_name = kind_entry[0].lower()
-            if kind_name not in _SHUNT_KINDS:
-                raise NetworkFileError(
-                    f"shunt kind must be one of {', '.join(_SHUNT_KINDS)}",
-                    kind_entry[1], kind_entry[2],
-                )
-            name = unique_name(f"A{node}", s.take("name"), s.line)
-            try:
-                if kind_name == "rlc":
-                    kind = ShuntRLC(
-                        _float(*s.take("r", required=True)),
-                        _float(*s.take("l", required=True)),
-                        _float(*s.take("c", required=True)),
-                    )
-                elif kind_name == "series-rl":
-                    kind = SeriesRL(
-                        _float(*s.take("r", required=True)),
-                        _float(*s.take("l", required=True)),
-                    )
-                elif kind_name == "c":
-                    kind = ShuntCapacitor(_float(*s.take("c", required=True)))
-                elif kind_name == "rational":
-                    kind = _parse_rational_entry(s, ports_by_id[node])
-                else:
-                    kind = SpectrumRef(s.take("file", required=True)[0])
-            except ValueError as exc:
-                if isinstance(exc, NetworkFileError):
-                    raise
-                raise NetworkFileError(str(exc), s.line) from None
-            s.reject_leftovers()
-            shunts.append(Shunt(node, kind, name))
-        elif s.kind == "branch":
-            from_entry = s.take("from", required=True)
-            to_entry = s.take("to", required=True)
-            a, b = _int(*from_entry), _int(*to_entry)
-            for nid, entry in ((a, from_entry), (b, to_entry)):
-                if nid not in ports_by_id:
-                    raise NetworkFileError(f"unknown node {nid}", entry[1], entry[2])
-            kind_entry = s.take("kind", required=True)
-            kind_name = kind_entry[0].lower()
-            if kind_name not in _BRANCH_KINDS:
-                raise NetworkFileError(
-                    f"branch kind must be one of {', '.join(_BRANCH_KINDS)}",
-                    kind_entry[1], kind_entry[2],
-                )
-            name = unique_name(f"B{a}-{b}", s.take("name"), s.line)
-            try:
-                if kind_name == "series-rl":
-                    kind = SeriesRL(
-                        _float(*s.take("r", required=True)),
-                        _float(*s.take("l", required=True)),
-                    )
-                else:
-                    kind = _parse_rational_entry(s, ports_by_id[a])
-            except ValueError as exc:
-                if isinstance(exc, NetworkFileError):
-                    raise
-                raise NetworkFileError(str(exc), s.line) from None
-            s.reject_leftovers()
-            branches.append(Branch(a, b, kind, name))
+            shunts.append(Shunt(ids[0], kind, name))
+        else:
+            branches.append(Branch(*ids, kind, name))
 
     try:
         net = NetworkModel(nodes, shunts, branches)
@@ -288,28 +267,20 @@ def _fmt(value: float) -> str:
 
 
 def _serialize_kind(kind, lines: list) -> None:
-    if isinstance(kind, ShuntRLC):
-        lines += [f"kind = rlc", f"r = {_fmt(kind.resistance)}",
-                  f"l = {_fmt(kind.inductance)}", f"c = {_fmt(kind.capacitance)}"]
-    elif isinstance(kind, SeriesRL):
-        lines += [f"kind = series-rl", f"r = {_fmt(kind.resistance)}",
-                  f"l = {_fmt(kind.inductance)}"]
-    elif isinstance(kind, ShuntCapacitor):
-        lines += [f"kind = c", f"c = {_fmt(kind.capacitance)}"]
-    elif isinstance(kind, SpectrumRef):
-        lines += [f"kind = spectrum", f"file = {kind.path}"]
+    lines.append(f"kind = {_KEYWORDS[type(kind)]}")
+    if isinstance(kind, SpectrumRef):
+        lines.append(f"file = {kind.path}")
     elif isinstance(kind, RationalBlock):
-        lines.append("kind = rational")
         m = kind.width
         for p in range(m):
             for q in range(m):
                 entry = kind.blocks[p][q]
-                suffix = "" if m == 1 else f"_{p+1}{q+1}"
+                suffix = _rational_suffix(m, p, q)
                 num = " ".join(_fmt(c.real) for c in entry.num.coeffs)
                 den = " ".join(_fmt(c.real) for c in entry.den.coeffs)
                 lines += [f"num{suffix} = {num}", f"den{suffix} = {den}"]
-    else:  # pragma: no cover - exhaustive over kinds
-        raise TypeError(f"cannot serialize {type(kind).__name__}")
+    else:
+        lines += [f"{name.lower()} = {_fmt(value)}" for name, value in kind.params.items()]
 
 
 def serialize_network(doc: NetworkDocument) -> str:

@@ -34,8 +34,43 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
+class _Lumped:
+    """Shared plumbing of the scalar R/L/C kinds.
+
+    ``FIELDS`` maps each parameter name to its dataclass field, in
+    constructor order.  R must be non-negative; every other parameter
+    strictly positive.
+    """
+
+    FIELDS: dict = {}
+    width = 1
+
+    def __post_init__(self):
+        values = {name: _require_finite(name, value) for name, value in self.params.items()}
+        for name, value in values.items():
+            if name == "R" and value < 0:
+                raise ValueError("R must be non-negative")
+            if name != "R" and value <= 0:
+                raise ValueError(f"{name} must be strictly positive")
+
+    @property
+    def params(self) -> dict:
+        return {name: getattr(self, field) for name, field in self.FIELDS.items()}
+
+    def _field(self, name: str) -> str:
+        try:
+            return self.FIELDS[name]
+        except KeyError:
+            raise KeyError(
+                f"unknown parameter {name!r} for {type(self).__name__}"
+            ) from None
+
+    def with_param(self, name: str, value: float):
+        return replace(self, **{self._field(name): value})
+
+
 @dataclass(frozen=True)
-class SeriesRL:
+class SeriesRL(_Lumped):
     """Series R-L element with admittance ``1 / (R + sL)``.
 
     Usable both as shunt apparatus (node to reference) and as a branch.
@@ -44,113 +79,53 @@ class SeriesRL:
     resistance: float
     inductance: float
 
-    def __post_init__(self):
-        r = _require_finite("R", self.resistance)
-        l = _require_finite("L", self.inductance)
-        if r < 0:
-            raise ValueError("R must be non-negative")
-        if l <= 0:
-            raise ValueError("L must be strictly positive")
-
-    width = 1
+    FIELDS = {"R": "resistance", "L": "inductance"}
 
     def admittance(self) -> RationalFunction:
         return RationalFunction([1.0], [self.resistance, self.inductance])
 
-    @property
-    def params(self) -> dict:
-        return {"R": self.resistance, "L": self.inductance}
-
     def param_derivative(self, name: str, s: complex) -> complex:
+        self._field(name)
         z = self.resistance + s * self.inductance
-        if name == "R":
-            return -1.0 / (z * z)
-        if name == "L":
-            return -s / (z * z)
-        raise KeyError(f"unknown parameter {name!r} for series RL")
-
-    def with_param(self, name: str, value: float) -> "SeriesRL":
-        if name == "R":
-            return replace(self, resistance=value)
-        if name == "L":
-            return replace(self, inductance=value)
-        raise KeyError(f"unknown parameter {name!r} for series RL")
+        return (-1.0 if name == "R" else -s) / (z * z)
 
 
 @dataclass(frozen=True)
-class ShuntCapacitor:
+class ShuntCapacitor(_Lumped):
     """Shunt capacitor with admittance ``sC``."""
 
     capacitance: float
 
-    def __post_init__(self):
-        c = _require_finite("C", self.capacitance)
-        if c <= 0:
-            raise ValueError("C must be strictly positive")
-
-    width = 1
+    FIELDS = {"C": "capacitance"}
 
     def admittance(self) -> RationalFunction:
         return RationalFunction([0.0, self.capacitance], [1.0])
 
-    @property
-    def params(self) -> dict:
-        return {"C": self.capacitance}
-
     def param_derivative(self, name: str, s: complex) -> complex:
-        if name == "C":
-            return s
-        raise KeyError(f"unknown parameter {name!r} for shunt capacitor")
-
-    def with_param(self, name: str, value: float) -> "ShuntCapacitor":
-        if name == "C":
-            return replace(self, capacitance=value)
-        raise KeyError(f"unknown parameter {name!r} for shunt capacitor")
+        self._field(name)
+        return s
 
 
 @dataclass(frozen=True)
-class ShuntRLC:
+class ShuntRLC(_Lumped):
     """Series R-L leg in parallel with a capacitor: ``1/(R+sL) + sC``."""
 
     resistance: float
     inductance: float
     capacitance: float
 
-    def __post_init__(self):
-        r = _require_finite("R", self.resistance)
-        l = _require_finite("L", self.inductance)
-        c = _require_finite("C", self.capacitance)
-        if r < 0:
-            raise ValueError("R must be non-negative")
-        if l <= 0 or c <= 0:
-            raise ValueError("L and C must be strictly positive")
-
-    width = 1
+    FIELDS = {"R": "resistance", "L": "inductance", "C": "capacitance"}
 
     def admittance(self) -> RationalFunction:
         r, l, c = self.resistance, self.inductance, self.capacitance
         # (1 + sC(R + sL)) / (R + sL)
         return RationalFunction([1.0, c * r, c * l], [r, l])
 
-    @property
-    def params(self) -> dict:
-        return {"R": self.resistance, "L": self.inductance, "C": self.capacitance}
-
     def param_derivative(self, name: str, s: complex) -> complex:
-        z = self.resistance + s * self.inductance
-        if name == "R":
-            return -1.0 / (z * z)
-        if name == "L":
-            return -s / (z * z)
-        if name == "C":
+        if self._field(name) == "capacitance":
             return s
-        raise KeyError(f"unknown parameter {name!r} for shunt RLC")
-
-    def with_param(self, name: str, value: float) -> "ShuntRLC":
-        key = {"R": "resistance", "L": "inductance", "C": "capacitance"}.get(name)
-        if key is None:
-            raise KeyError(f"unknown parameter {name!r} for shunt RLC")
-        return replace(self, **{key: value})
+        z = self.resistance + s * self.inductance
+        return (-1.0 if name == "R" else -s) / (z * z)
 
 
 class RationalBlock:
@@ -176,11 +151,6 @@ class RationalBlock:
     @property
     def width(self) -> int:
         return len(self.blocks)
-
-    def admittance(self):
-        if self.width == 1:
-            return self.blocks[0][0]
-        return self.blocks
 
     @property
     def params(self) -> dict:
@@ -355,13 +325,22 @@ class NetworkModel:
 # assembly
 
 
-def _kind_block(kind, width: int):
-    """Component admittance as a width-by-width grid of rational functions."""
+def admittance_block(kind, width: int):
+    """Component admittance as a width-by-width grid of rational functions.
+
+    The one place a component kind becomes a port block: a rational block
+    of the port width is its own grid; a scalar admittance (a width-one
+    block included) sits on the diagonal, because a scalar component
+    couples like port to like port.
+    """
     if isinstance(kind, RationalBlock):
-        if kind.width != width:
+        if kind.width == width:
+            return kind.blocks
+        if kind.width != 1:
             raise ValueError("rational block width mismatch")
-        return kind.blocks
-    y = kind.admittance()
+        y = kind.blocks[0][0]
+    else:
+        y = kind.admittance()
     zero = RationalFunction.zero()
     return tuple(
         tuple(y if p == q else zero for q in range(width)) for p in range(width)
@@ -402,7 +381,7 @@ def _assemble(net: NetworkModel, components) -> list:
     entries = [[RationalFunction.zero() for _ in range(n)] for _ in range(n)]
     for comp in components:
         width, blocks = _port_blocks(net, comp)
-        block = _kind_block(comp.kind, width)
+        block = admittance_block(comp.kind, width)
         for r, c, sign in blocks:
             _stamp(entries, r, c, block, sign)
     return entries
@@ -421,7 +400,7 @@ def _structure_hints(net: NetworkModel):
         return None
 
     def den_roots(kind):
-        y = kind.admittance() if not isinstance(kind, RationalBlock) else kind.blocks[0][0]
+        y = admittance_block(kind, 1)[0][0]
         if y.den.degree == 0:
             return ()
         return tuple(complex(r) for r in y.den.roots())
@@ -516,6 +495,9 @@ def ysys_from_parts(z_app: RationalMatrix, y_net: RationalMatrix) -> RationalMat
 
 
 _CHECK_SEED = 0x5E11
+# Relative residual allowed in the pointwise identity checks of build_zsys
+# and build_ysys.
+CHECK_TOL = 1e-8
 
 
 def _check_points(count: int = 5) -> np.ndarray:
@@ -539,7 +521,7 @@ def _verify_product(lhs: RationalMatrix, rhs: RationalMatrix, target, tol: float
             )
 
 
-def build_zsys(net: NetworkModel, check_tol: float = 1e-8) -> RationalMatrix:
+def build_zsys(net: NetworkModel) -> RationalMatrix:
     """Whole-system impedance matrix.
 
     The apparatus/branch feedback form and the plain inverse of the nodal
@@ -554,11 +536,11 @@ def build_zsys(net: NetworkModel, check_tol: float = 1e-8) -> RationalMatrix:
         warnings.warn("Z_A-free assembly: inverting the nodal admittance matrix",
                       stacklevel=2)
     zsys = ynodal.inverse()
-    _verify_product(zsys, ynodal, np.eye(net.size), check_tol, "impedance model")
+    _verify_product(zsys, ynodal, np.eye(net.size), CHECK_TOL, "impedance model")
     return zsys
 
 
-def build_ysys(net: NetworkModel, check_tol: float = 1e-8) -> RationalMatrix:
+def build_ysys(net: NetworkModel) -> RationalMatrix:
     """Whole-system admittance matrix (same fallback rules as build_zsys)."""
     y_net = branch_admittance_matrix(net)
     ynodal = build_ynodal(net)
@@ -579,7 +561,7 @@ def build_ysys(net: NetworkModel, check_tol: float = 1e-8) -> RationalMatrix:
         got = feedback @ ysys(s0)
         want = y_net(s0)
         scale = 1.0 + float(np.linalg.norm(feedback) * np.linalg.norm(ysys(s0)))
-        if np.linalg.norm(got - want) > check_tol * scale:
+        if np.linalg.norm(got - want) > CHECK_TOL * scale:
             raise AssemblyCheckError(
                 f"admittance model identity check failed at s={s0:.3g}"
             )

@@ -308,10 +308,6 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    @property
-    def is_constant(self) -> bool:
-        return self.num.degree == 0 and self.den.degree == 0
-
     def __call__(self, s):
         return self.num(s) / self.den(s)
 
@@ -413,12 +409,6 @@ class RationalFunction:
             Polynomial.from_roots(num_roots, self.num.gain),
             Polynomial.from_roots(keep_den, 1.0),
         )
-
-    def poles(self) -> np.ndarray:
-        return self.den.roots()
-
-    def zeros(self) -> np.ndarray:
-        return self.num.roots()
 
 
 class MatrixStructureHints:
@@ -626,7 +616,7 @@ class RationalMatrix:
         all_roots = [r for row in row_factors for r in row]
         if self.hints is not None:
             den_roots = list(self.hints.det_den_roots)
-            extra = _multiset_subtract(all_roots, den_roots)
+            extra = _without_hint_roots(all_roots, den_roots)
             num = _deflate_guaranteed(
                 det_poly, extra, self._exact_minor_eval(tuple(range(self.dim)),
                                                         tuple(range(self.dim)),
@@ -681,7 +671,7 @@ class RationalMatrix:
                 minor = _poly_det(cleared, rows, cols, cache)
                 if self.hints is not None:
                     den_roots = list(self.hints.minor_den_roots(i, j))
-                    extra = _multiset_subtract(all_roots, den_roots)
+                    extra = _without_hint_roots(all_roots, den_roots)
                     num = _deflate_guaranteed(
                         minor, extra, self._exact_minor_eval(rows, cols, row_factors)
                     )
@@ -709,26 +699,40 @@ class RationalMatrix:
         )
 
 
-def _merge_root_multiset(pool: list, roots) -> None:
-    """Grow ``pool`` to the multiset union (max multiplicity per cluster)."""
+def _match_roots(pool, roots, close):
+    """Match each root of ``roots`` to the nearest still unmatched entry of
+    ``pool`` (ties to the first index), where ``close(distance, root)``.
+
+    Returns ``(rest, unmatched)``: the pool entries left unclaimed, in pool
+    order, and the roots that claimed none, in input order.
+    """
     taken = [False] * len(pool)
+    unmatched = []
     for r in roots:
         best, d = _nearest_root(pool, r, taken)
-        if d < CANCEL_REL * (1.0 + abs(r)) * 100.0:
+        if best >= 0 and close(d, r):
             taken[best] = True
         else:
-            pool.append(complex(r))
-            taken.append(True)
+            unmatched.append(r)
+    return [p for p, t in zip(pool, taken) if not t], unmatched
 
 
-def _multiset_without(pool: list, remove) -> list:
-    """Pool minus one matched copy of each root in ``remove``."""
-    out = list(pool)
-    for r in remove:
-        best, d = _nearest_root(out, r)
-        if d < CANCEL_REL * (1.0 + abs(r)) * 100.0:
-            out.pop(best)
-    return out
+def _same_factor_root(d, r) -> bool:
+    """Two computed roots of low-degree entry denominators coincide."""
+    return d < CANCEL_REL * (1.0 + abs(r)) * 100.0
+
+
+def _hint_root(d, r) -> bool:
+    """A structure-hint root and a row-factor root coincide (both are
+    accurately rooted low-degree factors, so the tolerance is tight)."""
+    return d <= 1e-6 * (1.0 + abs(r))
+
+
+def _without_hint_roots(pool, hint_roots):
+    rest, unmatched = _match_roots(pool, hint_roots, _hint_root)
+    if unmatched:
+        raise ValueError("denominator hint root not present in the row factors")
+    return rest
 
 
 def _cleared_rows(entries):
@@ -747,14 +751,14 @@ def _cleared_rows(entries):
         ]
         lcm: list = []
         for roots in den_roots:
-            _merge_root_multiset(lcm, roots)
+            lcm += [complex(r) for r in _match_roots(lcm, roots, _same_factor_root)[1]]
         row = []
         for j in range(n):
             entry = entries[i][j]
             if entry.num.is_zero:
                 row.append(Polynomial.zero())
                 continue
-            extra = _multiset_without(lcm, den_roots[j])
+            extra = _match_roots(lcm, den_roots[j], _same_factor_root)[0]
             row.append(entry.num * Polynomial.from_roots(extra, 1.0))
         cleared.append(row)
         row_factors.append(lcm)
@@ -880,21 +884,6 @@ class _DeflatedQuotient:
                 break
             x, vx, fx = trial, vt, ft
         return x
-
-
-def _multiset_subtract(pool, remove):
-    """Pool minus one proximity-matched copy per root in ``remove``.
-
-    Both sides come from accurately-rooted low-degree factors, so matching
-    at a tight relative tolerance is exact in practice.
-    """
-    out = list(pool)
-    for r in remove:
-        best, dist = _nearest_root(out, r)
-        if best < 0 or dist > 1e-6 * (1.0 + abs(r)):
-            raise ValueError("denominator hint root not present in the row factors")
-        out.pop(best)
-    return out
 
 
 def _deflate_guaranteed(poly: Polynomial, extra_roots, base_eval=None):

@@ -384,6 +384,14 @@ EDGE_FILES = {
     + "\n[shunt]\nnode = 1\nkind = rational\n"
       "num_11 = 1 1\nden_11 = 1 1 1\nnum_12 = 0.1\nden_12 = 1\n"
       "num_21 = 0.1\nden_21 = 1\nnum_22 = 2 1\nden_22 = 2 1 1\n",
+    # two d-q nodes joined by a scalar branch, which stamps on both ports
+    "two-port-branch": EDGE_HEAD.replace("id = 1\n", "id = 1\nports = 2\n")
+    + "\n[node]\nid = 2\nports = 2\n"
+    + "".join(f"\n[shunt]\nnode = {k}\nkind = rational\n"
+              f"num_11 = {g} {c}\nden_11 = 1\nnum_12 = {x}\nden_12 = 1\n"
+              f"num_21 = -{x}\nden_21 = 1\nnum_22 = {g} {c}\nden_22 = 1\n"
+              for k, g, c, x in ((1, 0.4, 1.0, 0.2), (2, 0.3, 0.7, 0.1)))
+    + "\n[branch]\nfrom = 1\nto = 2\nkind = series-rl\nr = 0.2\nl = 0.5\n",
     "spectrum": EDGE_HEAD + "\n[shunt]\nnode = 1\nkind = spectrum\nfile = Z_1_1.csv\n",
     "nine-node": nine_node_text(),
 }
@@ -435,6 +443,15 @@ class TestExitCodeContract:
                                "--param", "A1.R", "--pct", "1")
         assert code == 3
         assert "A1.R" in err
+
+    @pytest.mark.parametrize("param", ["R", "L"])
+    def test_tune_of_a_scalar_branch_between_two_ports(self, capsys, tmp_path, param):
+        code, out, err = run_cli(capsys, "tune", edge_file(tmp_path, "two-port-branch"),
+                                 "--param", f"B1-2.{param}", "--pct", "1")
+        assert code == 0, err
+        results = json.loads(out)["results"]
+        assert results
+        assert all(r["error"] < 0.02 and r["direction_correct"] for r in results)
 
     def test_modes_above_the_symbolic_limit_exit_4(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "modes", edge_file(tmp_path, "nine-node"))

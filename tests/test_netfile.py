@@ -10,7 +10,13 @@ from netmodal.netfile import (
     spectrum_filename,
     write_spectrum_csv,
 )
-from netmodal.network import RationalBlock, SeriesRL, ShuntRLC, SpectrumRef
+from netmodal.network import (
+    RationalBlock,
+    SeriesRL,
+    ShuntCapacitor,
+    ShuntRLC,
+    SpectrumRef,
+)
 
 MINIMAL = """
 [meta]
@@ -111,12 +117,84 @@ class TestParseErrors:
         with pytest.raises(NetworkFileError, match="non-negative"):
             parse_network_text(MINIMAL.replace("r = 1.0", "r = -1.0"))
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("l", "0.0", "L must be strictly positive"),
+        ("c", "-1.0", "C must be strictly positive"),
+    ])
+    def test_sign_error_names_the_parameter(self, key, value, message):
+        with pytest.raises(NetworkFileError, match=message):
+            parse_network_text(MINIMAL.replace(f"{key} = 1.0", f"{key} = {value}"))
+
     def test_key_before_section(self):
         with pytest.raises(NetworkFileError, match="before any section"):
             parse_network_text("a = b\n" + MINIMAL)
 
 
+TWO_NODES = """
+[meta]
+name = kinds
+frequency_unit = hz
+
+[node]
+id = 1
+ports = {ports}
+
+[node]
+id = 2
+ports = {ports}
+"""
+DQ_ENTRIES = ("num_11 = 0.4 1.0\nden_11 = 1.0\nnum_12 = 0.2\nden_12 = 1.0\n"
+              "num_21 = -0.2\nden_21 = 1.0\nnum_22 = 0.3 0.5\nden_22 = 1.0 0.25\n")
+DQ_SHUNTS = "".join(f"\n[shunt]\nnode = {k}\nkind = rational\n{DQ_ENTRIES}" for k in (1, 2))
+# one case per kind keyword (and per section it may appear in): the extra
+# sections, the port width, the component under test and its class
+KIND_CASES = {
+    "rlc-shunt": ("\n[shunt]\nnode = 1\nkind = rlc\nr = 0.5\nl = 1.5\nc = 0.25\n"
+                  "\n[shunt]\nnode = 2\nkind = c\nc = 2.0\n", 1, "A1", ShuntRLC),
+    "series-rl-shunt": ("\n[shunt]\nnode = 1\nkind = series-rl\nr = 0.1\nl = 0.7\n"
+                        "\n[shunt]\nnode = 2\nkind = c\nc = 2.0\n", 1, "A1", SeriesRL),
+    "c-shunt": ("\n[shunt]\nnode = 1\nkind = c\nc = 0.3\n"
+                "\n[shunt]\nnode = 2\nkind = c\nc = 2.0\n", 1, "A1", ShuntCapacitor),
+    "series-rl-branch": ("\n[shunt]\nnode = 1\nkind = c\nc = 1.0\n"
+                         "\n[branch]\nfrom = 1\nto = 2\nkind = series-rl\nr = 0.2\nl = 0.4\n",
+                         1, "B1-2", SeriesRL),
+    "rational-branch": ("\n[shunt]\nnode = 1\nkind = c\nc = 1.0\n"
+                        "\n[branch]\nfrom = 1\nto = 2\nkind = rational\nnum = 1.0\n"
+                        "den = 0.2 0.4\n", 1, "B1-2", RationalBlock),
+    "rational-shunt": ("\n[shunt]\nnode = 1\nkind = rational\nnum = 0.5 2.0\nden = 1.0 0.1\n"
+                       "\n[shunt]\nnode = 2\nkind = c\nc = 2.0\n", 1, "A1", RationalBlock),
+    "rational-2port-shunt": (DQ_SHUNTS, 2, "A2", RationalBlock),
+    "rational-2port-branch": (DQ_SHUNTS + "\n[branch]\nfrom = 1\nto = 2\nkind = rational\n"
+                              + DQ_ENTRIES, 2, "B1-2", RationalBlock),
+    "series-rl-2port-branch": (DQ_SHUNTS + "\n[branch]\nfrom = 1\nto = 2\nkind = series-rl\n"
+                               "r = 0.2\nl = 0.4\n", 2, "B1-2", SeriesRL),
+    "spectrum-shunt": ("\n[shunt]\nnode = 1\nkind = spectrum\nfile = Z_1_1.csv\n"
+                       "\n[shunt]\nnode = 2\nkind = c\nc = 2.0\n", 1, "A1", SpectrumRef),
+}
+
+
+def kind_fields(kind):
+    """Comparable contents of a component kind (rational entries have no ==)."""
+    if isinstance(kind, RationalBlock):
+        return [(e.num.coeffs.tolist(), e.den.coeffs.tolist())
+                for row in kind.blocks for e in row]
+    return kind
+
+
 class TestRoundTrip:
+    @pytest.mark.parametrize("case", sorted(KIND_CASES))
+    def test_every_kind_round_trips(self, case):
+        sections, ports, name, cls = KIND_CASES[case]
+        doc = parse_network_text(TWO_NODES.format(ports=ports) + sections)
+        kind = doc.network.component(name).kind
+        assert type(kind) is cls
+        text = serialize_network(doc)
+        again = parse_network_text(text)
+        assert serialize_network(again) == text
+        for comp in doc.network.components():
+            assert kind_fields(again.network.component(comp.name).kind) == \
+                kind_fields(comp.kind)
+
     def test_serialize_parse_is_identity_on_normalized_form(self, three_node_doc):
         once = serialize_network(three_node_doc)
         twice = serialize_network(parse_network_text(once))
@@ -126,12 +204,6 @@ class TestRoundTrip:
         reparsed = parse_network_text(serialize_network(three_node_doc))
         assert reparsed.network.shunts == three_node_doc.network.shunts
         assert reparsed.network.branches == three_node_doc.network.branches
-
-    def test_rational_block_round_trip(self):
-        text = MINIMAL + "\n[shunt]\nnode = 1\nkind = rational\nnum = 0.5 2.0\nden = 1.0 0.1\n"
-        doc = parse_network_text(text)
-        again = parse_network_text(serialize_network(doc))
-        assert serialize_network(again) == serialize_network(doc)
 
 
 class TestSpectrumCSV:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from netmodal.greybox import mode_report
 from netmodal.modes import find_modes, mode_artifacts
 from netmodal.netfile import parse_network_text
 from netmodal.network import (
@@ -54,6 +55,14 @@ class TestAssembly:
         assert m[0, 2] == pytest.approx(-y_branch)
         assert m[0, 3] == 0
         assert m[1, 3] == pytest.approx(-y_branch)
+
+    def test_width_one_block_branch_stamps_like_a_scalar(self, dq_net):
+        scalar = RationalBlock(SeriesRL(0.2, 0.5).admittance())
+        branches = (Branch(1, 2, scalar, "B1-2"),)
+        as_block = NetworkModel(dq_net.nodes, dq_net.shunts, branches)
+        s0 = 0.3 + 1.1j
+        assert np.allclose(build_ynodal(as_block)(s0), build_ynodal(dq_net)(s0),
+                           rtol=1e-14, atol=0)
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError, match="width"):
@@ -107,6 +116,30 @@ class TestBlockSensitivity:
         moved = track_mode(find_modes(build_ynodal(bumped)), lam)
         actual = moved - lam
         assert abs(predicted - actual) / abs(actual) < 0.01
+
+
+class TestScalarBranchBetweenTwoPorts:
+    """A scalar branch between d-q nodes stamps its admittance on both
+    ports, so its parameter factors see dy/drho on both ports too."""
+
+    @pytest.mark.parametrize("param", ["R", "L"])
+    def test_layer3_prediction_matches_the_resolve(self, dq_net, param):
+        ynodal = build_ynodal(dq_net)
+        modes = find_modes(ynodal)
+        targets = [m for m in modes if m.oscillatory and m.eigenvalue.imag > 0]
+        assert targets
+        fraction = 1e-3
+        rho = dq_net.component("B1-2").kind.params[param]
+        bumped = find_modes(build_ynodal(
+            dq_net.with_param("B1-2", param, rho * (1 + fraction))))
+        for target in targets:
+            report = mode_report(dq_net, ynodal, target, fraction=fraction,
+                                 significance=0.0)
+            p = next(p for p in report.layer3
+                     if (p.component, p.param) == ("B1-2", param))
+            predicted = p.value * p.rho * fraction  # layer-3 "predicted" of the CLI
+            actual = track_mode(bumped, target.eigenvalue) - target.eigenvalue
+            assert abs(predicted - actual) <= 1e-2 * abs(actual)
 
 
 class TestTwoPortFile:
