@@ -151,9 +151,12 @@ def _rational_suffix(width: int, p: int, q: int) -> str:
 
 def _parse_rational_entry(section: _Section, ports: int):
     def entry(p, q):
-        num, den = (_float_list(*section.take(key + _rational_suffix(ports, p, q),
-                                              required=True))
-                    for key in ("num", "den"))
+        suffix = _rational_suffix(ports, p, q)
+        num = _float_list(*section.take("num" + suffix, required=True))
+        den_entry = section.take("den" + suffix, required=True)
+        den = _float_list(*den_entry)
+        if not any(den):
+            raise NetworkFileError("denominator must not be zero", *den_entry[1:])
         return RationalFunction(num, den)
 
     return RationalBlock(tuple(tuple(entry(p, q) for q in range(ports))

@@ -80,6 +80,32 @@ def _nearest_root(pool, r, taken=None):
     return best, best_d
 
 
+def _mul_unfused(a, b) -> np.ndarray:
+    """Complex product with each float64 product and sum rounded on its own,
+    as numpy's scalar arithmetic computes it.  numpy's array loops may fuse
+    a multiply with the following add, which moves the last bit."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _quot_cpython(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Complex quotient by CPython's algorithm for ``complex / complex``,
+    which rounds differently from numpy's division.  Where CPython raises
+    ``ZeroDivisionError`` (a zero divisor) the value here is NaN."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    by_real = np.abs(br) >= np.abs(bi)
+    with np.errstate(all="ignore"):
+        ratio = np.where(by_real, bi / br, br / bi)
+        real_den = br + bi * ratio
+        imag_den = br * ratio + bi
+        out = np.empty(a.shape, dtype=complex)
+        out.real = np.where(by_real, (ar + ai * ratio) / real_den, (ar * ratio + ai) / imag_den)
+        out.imag = np.where(by_real, (ai - ar * ratio) / real_den, (ai * ratio - ar) / imag_den)
+    return out
+
+
 class Polynomial:
     """Univariate polynomial with complex coefficients, ascending degree.
 
@@ -164,13 +190,29 @@ class Polynomial:
     def is_real(self) -> bool:
         return self.gain.imag == 0.0 and bool(np.all(self.monic.imag == 0.0))
 
+    @property
+    def _product_form(self) -> bool:
+        return self.factors is not None and not self.is_zero
+
     def __call__(self, s):
-        if self.factors is not None and not self.is_zero:
+        if self._product_form:
             out = np.multiply(np.ones_like(np.asarray(s, dtype=complex)), self.gain)
             for r in self.factors:
                 out = out * (s - r)
             return out if out.ndim else complex(out)
         return self.gain * np.polyval(self.monic[::-1], s)
+
+    def _at_points(self, s: np.ndarray) -> np.ndarray:
+        """Values at each point of the 1-D array ``s``, each bit-identical
+        to calling the polynomial on that point alone.  The scalar call
+        multiplies numpy scalars, so the products here are unfused; Horner
+        evaluation goes through the same ufunc loop either way."""
+        if self._product_form:
+            out = _mul_unfused(np.ones_like(s), self.gain)
+            for r in self.factors:
+                out = _mul_unfused(out, s - r)
+            return out
+        return _mul_unfused(np.polyval(self.monic[::-1], s), self.gain)
 
     def __repr__(self) -> str:
         return f"Polynomial(degree={self.degree}, gain={self.gain:.6g})"
@@ -310,6 +352,16 @@ class RationalFunction:
 
     def __call__(self, s):
         return self.num(s) / self.den(s)
+
+    def _at_points(self, s: np.ndarray) -> np.ndarray:
+        """Values at each point of the 1-D array ``s``, each bit-identical
+        to calling the function on that point alone.  There, two
+        product-form polynomials give Python complex values, which divide by
+        CPython's algorithm; any other pair divides as numpy does."""
+        num, den = self.num._at_points(s), self.den._at_points(s)
+        if self.num._product_form and self.den._product_form:
+            return _quot_cpython(num, den)
+        return num / den
 
     def __repr__(self) -> str:
         return f"RationalFunction({self.num.degree}/{self.den.degree})"
@@ -474,16 +526,18 @@ class RationalMatrix:
     """Square matrix of rational functions.
 
     Pointwise readers (``__call__``, ``eval_grid``, ``derivative_at`` and the
-    minor evaluator of ``det``/``adjugate``) share one evaluation plan, built
-    lazily on first use and cached: the distinct entries (bitwise equal ones
-    merged, e.g. symmetric halves and zeros) and an index into them.  Each
-    distinct entry is evaluated once per point, with the same arithmetic as
-    the entry itself, so values are bit-identical to a per-entry loop.
-    Building the plan is idempotent, so a matrix stays shareable without
-    locking.
+    batched minor evaluator behind ``det``/``adjugate``) share one evaluation
+    plan: the distinct entries (bitwise equal ones merged, e.g. symmetric
+    halves and zeros) and an index into them.  Each distinct entry is
+    evaluated once per point, so values are bit-identical to a per-entry
+    loop.  ``det`` and ``adjugate`` evaluate all the points of one Newton
+    step at once, with the rounding of one-point-at-a-time evaluation.  The
+    plan and the row-cleared polynomial grid are built lazily on first use
+    and cached; building them is idempotent, so a matrix stays shareable
+    without locking.
     """
 
-    __slots__ = ("dim", "entries", "hints", "_plan")
+    __slots__ = ("dim", "entries", "hints", "_plan", "_cleared")
 
     def __init__(self, entries: Sequence[Sequence[RationalFunction]], hints=None):
         rows = tuple(tuple(self._coerce(e) for e in row) for row in entries)
@@ -494,6 +548,7 @@ class RationalMatrix:
         self.entries = rows
         self.hints = hints
         self._plan = None
+        self._cleared = None
 
     def _evaluation_plan(self) -> _EvalPlan:
         plan = self._plan
@@ -607,80 +662,84 @@ class RationalMatrix:
         determinant is taken.  With structure hints the spare factors are
         guaranteed divisors and are deflated outright; otherwise common
         factors are identified by an argument-principle survey around the
-        accurately-known denominator roots.  Raises
+        accurately-known denominator roots.  The surviving roots are
+        Newton-polished in lockstep (see :meth:`_reduced_minors`).  Raises
         :class:`SymbolicDimensionError` above ``SYMBOLIC_DIM_LIMIT``.
         """
         _check_symbolic_dim(self.dim)
-        cleared, row_factors = _cleared_rows(self.entries)
-        det_poly = _poly_det(cleared, tuple(range(self.dim)), tuple(range(self.dim)), {})
-        all_roots = [r for row in row_factors for r in row]
-        if self.hints is not None:
-            den_roots = list(self.hints.det_den_roots)
-            extra = _without_hint_roots(all_roots, den_roots)
-            num = _deflate_guaranteed(
-                det_poly, extra, self._exact_minor_eval(tuple(range(self.dim)),
-                                                        tuple(range(self.dim)),
-                                                        row_factors)
-            )
-            return RationalFunction(num, Polynomial.from_roots(den_roots, 1.0))
-        num, kept = _cancel_known_roots(det_poly, all_roots)
-        return RationalFunction(num, Polynomial.from_roots(kept, 1.0))
-
-    def _exact_minor_eval(self, rows, cols, row_factors):
-        """Evaluator for a cleared minor with an LU-determinant noise floor.
-
-        Each call evaluates only the distinct entries inside the minor's rows
-        and columns and assembles the submatrix from them directly.  Probing
-        can land on an entry pole; the resulting non-finite value is handled
-        by the caller's guards, so the division warnings are muted.
-        """
-        multipliers = [Polynomial.from_roots(row_factors[r], 1.0) for r in rows]
-        plan = self._evaluation_plan()
-        used, local = np.unique(plan.index[np.ix_(rows, cols)], return_inverse=True)
-        entries = [plan.entries[k] for k in used]
-        local = local.reshape(len(rows), len(cols))
-
-        def base(s: complex) -> complex:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                values = np.array([e(s) for e in entries], dtype=complex)
-                value = np.linalg.det(values[local])
-            for p in multipliers:
-                value *= p(s)
-            return value
-
-        return base
+        whole = tuple(range(self.dim))
+        hint_roots = None if self.hints is None else [self.hints.det_den_roots]
+        return self._reduced_minors([(whole, whole)], hint_roots)[0]
 
     def adjugate(self) -> "RationalMatrix":
         """Symbolic adjugate via cofactors with memoized polynomial minors.
 
-        Raises :class:`SymbolicDimensionError` above ``SYMBOLIC_DIM_LIMIT``.
+        Every cofactor is reduced like :meth:`det`, and the roots of all n²
+        of them are polished in one lockstep.  Raises
+        :class:`SymbolicDimensionError` above ``SYMBOLIC_DIM_LIMIT``.
         """
         n = self.dim
         _check_symbolic_dim(n)
         if n == 1:
             return RationalMatrix([[RationalFunction.one()]])
-        cleared, row_factors = _cleared_rows(self.entries)
-        cache: dict = {}
-        all_idx = tuple(range(n))
+        drop = [tuple(k for k in range(n) if k != i) for i in range(n)]
+        minors = [(drop[i], drop[j]) for i in range(n) for j in range(n)]
+        hint_roots = None if self.hints is None else [
+            self.hints.minor_den_roots(i, j) for i in range(n) for j in range(n)
+        ]
+        reduced = self._reduced_minors(minors, hint_roots)
         adj = [[None] * n for _ in range(n)]
-        for i in range(n):
-            rows = tuple(r for r in all_idx if r != i)
-            all_roots = [r for k in rows for r in row_factors[k]]
-            for j in range(n):
-                cols = tuple(c for c in all_idx if c != j)
-                minor = _poly_det(cleared, rows, cols, cache)
-                if self.hints is not None:
-                    den_roots = list(self.hints.minor_den_roots(i, j))
-                    extra = _without_hint_roots(all_roots, den_roots)
-                    num = _deflate_guaranteed(
-                        minor, extra, self._exact_minor_eval(rows, cols, row_factors)
-                    )
-                    entry = RationalFunction(num, Polynomial.from_roots(den_roots, 1.0))
-                else:
-                    num, kept = _cancel_known_roots(minor, all_roots)
-                    entry = RationalFunction(num, Polynomial.from_roots(kept, 1.0))
-                adj[j][i] = entry if (i + j) % 2 == 0 else -entry
+        for entry, (i, j) in zip(reduced, np.ndindex(n, n)):
+            adj[j][i] = entry if (i + j) % 2 == 0 else -entry
         return RationalMatrix(adj)
+
+    def _cleared_rows(self):
+        """The row-cleared polynomial grid and row factors, built on first
+        use and cached like the evaluation plan."""
+        cleared = self._cleared
+        if cleared is None:
+            cleared = self._cleared = _cleared_rows(self.entries)
+        return cleared
+
+    def _reduced_minors(self, minors, hint_roots):
+        """Each minor ``(rows, cols)`` as a rational function: its cleared
+        polynomial with the spare row factors divided out, over the rest.
+
+        With structure hints, ``hint_roots[m]`` is minor ``m``'s exact
+        denominator root multiset and every other row-factor root claims the
+        nearest computed root.  Without hints, a row-factor root is cancelled
+        where the argument principle certifies it as a zero.  The surviving
+        roots of every minor are then Newton-polished together, against a
+        value that is exact where the polynomial is not: the LU determinant
+        of the minor of Y times its row multipliers (with hints), or the
+        minor polynomial itself.
+        """
+        cleared, row_factors = self._cleared_rows()
+        cache: dict = {}
+        polys = [_poly_det(cleared, rows, cols, cache) for rows, cols in minors]
+        if self.hints is not None:
+            evaluate = _ClearedMinors(self._evaluation_plan(), row_factors, minors)
+        else:
+            evaluate = _PolynomialBases(polys)
+        jobs, dens = [], []
+        for m, (poly, (rows, _)) in enumerate(zip(polys, minors)):
+            all_roots = [r for k in rows for r in row_factors[k]]
+            quotient = _DeflatedQuotient(poly, evaluate, m)
+            if hint_roots is None:
+                remaining, den_roots = _cancel_known_roots(quotient, all_roots)
+            else:
+                den_roots = list(hint_roots[m])
+                remaining = _claim_guaranteed(
+                    quotient, _without_hint_roots(all_roots, den_roots))
+            jobs.append((quotient, remaining))
+            dens.append(den_roots)
+        polished = iter(_polish_lockstep(evaluate, [job for job in jobs if job[1] is not None]))
+        return [
+            RationalFunction(quotient.poly if remaining is None
+                             else Polynomial.from_roots(next(polished), quotient.poly.gain),
+                             Polynomial.from_roots(den_roots, 1.0))
+            for (quotient, remaining), den_roots in zip(jobs, dens)
+        ]
 
     def inverse(self) -> "RationalMatrix":
         """Symbolic inverse ``adj / det``.  Entries are left unnormalized;
@@ -799,6 +858,52 @@ def _poly_det(grid, rows, cols, cache) -> Polynomial:
     return out
 
 
+class _ClearedMinors:
+    """Batched values of the row-cleared minors of one matrix.
+
+    Minor ``m`` at ``s`` is the LU determinant of ``Y[rows, cols](s)``
+    times each of its rows' multipliers Π(s − row factor root), in row
+    order.  A batch evaluates every distinct entry of Y and every row
+    multiplier once over all its points and takes one stacked determinant.
+    Each value is bit-identical to that pointwise arithmetic: entries and
+    multipliers through their ``_at_points`` evaluators, a stacked
+    ``np.linalg.det`` equals the single-matrix one, and the products with
+    the multipliers are unfused as numpy's scalar products are.  Points on
+    an entry pole give non-finite values, which the callers' guards handle.
+    """
+
+    def __init__(self, plan: _EvalPlan, row_factors, minors):
+        self.entries = plan.entries
+        self.multipliers = [Polynomial.from_roots(f, 1.0) for f in row_factors]
+        self.rows = np.array([rows for rows, _ in minors], dtype=np.intp)
+        self.index = np.array([plan.index[np.ix_(rows, cols)] for rows, cols in minors])
+
+    def __call__(self, keys: np.ndarray, s: np.ndarray) -> np.ndarray:
+        at = np.arange(s.size)
+        with np.errstate(all="ignore"):
+            values = np.array([e._at_points(s) for e in self.entries])
+            factors = np.array([p._at_points(s) for p in self.multipliers])
+            out = np.linalg.det(values[self.index[keys], at[:, None, None]])
+            for rows in self.rows[keys].T:
+                out = _mul_unfused(out, factors[rows, at])
+        return out
+
+
+class _PolynomialBases:
+    """Batched values of plain minor polynomials: ``polys[key]`` at each
+    point."""
+
+    def __init__(self, polys):
+        self.polys = polys
+
+    def __call__(self, keys: np.ndarray, s: np.ndarray) -> np.ndarray:
+        out = np.empty(s.shape, dtype=complex)
+        for key in np.unique(keys):
+            at = keys == key
+            out[at] = self.polys[key]._at_points(s[at])
+        return out
+
+
 # A certified factor root may claim the nearest computed root this far away
 # (clustered roots smear well beyond the plain matching tolerance).
 _CLUSTER_WINDOW = 1e-3
@@ -807,23 +912,28 @@ _CLUSTER_WINDOW = 1e-3
 class _DeflatedQuotient:
     """Stable evaluation of ``base(x) / prod(x - cancelled)``.
 
-    ``base`` defaults to polynomial evaluation; callers that can evaluate
-    the underlying function more stably (e.g. an LU determinant of the
-    original matrix) supply their own callable.  The cancelled roots are
-    exact low-degree factor roots, so the quotient form sidesteps
-    re-expanding coefficients after each deflation.
+    ``base`` is minor ``key`` of the batched evaluator ``evaluate`` (see
+    :class:`_ClearedMinors` and :class:`_PolynomialBases`); ``poly`` is
+    the expanded minor.  The cancelled roots are exact low-degree factor
+    roots, so the quotient form sidesteps re-expanding coefficients after
+    each deflation.
     """
 
-    def __init__(self, poly: Polynomial, base=None):
+    def __init__(self, poly: Polynomial, evaluate, key: int):
         self.poly = poly
-        self.base = base if base is not None else poly
+        self.evaluate = evaluate
+        self.key = key
         self.cancelled = []
 
-    def value(self, x: complex) -> complex:
+    def value(self, x: complex, base: np.complex128) -> complex:
+        """The quotient at ``x`` from the base value there, with scalar
+        arithmetic.  ``base`` is always a numpy scalar; a product-form
+        polynomial's own call returns a Python complex, but the two divide
+        alike by the only Python complex ``q`` possible, exactly 1."""
         q = 1.0 + 0j
         for r in self.cancelled:
             q *= x - r
-        return self.base(x) / q
+        return base / q
 
     def survey_circle(self, center: complex, radius: float, points: int = 32):
         """Argument-principle survey of the circle: net zero count and the
@@ -834,7 +944,8 @@ class _DeflatedQuotient:
         """
         theta = 2.0 * np.pi * (np.arange(points) + 0.5) / points
         ring = center + radius * np.exp(1j * theta)
-        vals = np.array([self.value(x) for x in ring])
+        bases = self.evaluate(np.full(points, self.key), ring)
+        vals = np.array([self.value(x, b) for x, b in zip(ring, bases)])
         if np.any(vals == 0):
             return None
         noise = 16.0 * np.finfo(float).eps * self.poly.magnitude_bound(abs(center) + radius)
@@ -850,79 +961,128 @@ class _DeflatedQuotient:
         moment = complex(np.sum(mid * steps) / (2j * np.pi))
         return count, moment
 
-    def newton_polish(self, x0: complex, steps: int = 8) -> complex:
-        """Damped Newton refinement of a quotient root, with the slope taken
-        by central differences (the analytic quotient-rule slope cancels
-        catastrophically next to a deflated root).
 
-        The value at the current point is kept from the step that accepted
-        it, so each step evaluates the quotient three times: at the two
-        difference points and at the trial point.
-        """
-        x = x0
-        if self.cancelled and min(abs(x - r) for r in self.cancelled) \
-                < 1e-12 * (1.0 + abs(x)):
-            x = x + 1e-9 * (1.0 + abs(x))
-        vx = self.value(x)
-        fx = abs(vx)
-        if not np.isfinite(fx):
-            return x0
-        for _ in range(steps):
-            h = 1e-6 * (1.0 + abs(x))
-            slope = (self.value(x + h) - self.value(x - h)) / (2.0 * h)
-            if slope == 0 or not np.isfinite(slope):
-                break
-            trial = x - vx / slope
-            if not np.isfinite(trial):
-                break
-            if self.cancelled and min(abs(trial - r) for r in self.cancelled) \
-                    < 1e-13 * (1.0 + abs(trial)):
-                break
-            vt = self.value(trial)
-            ft = abs(vt)
-            if not np.isfinite(ft) or ft >= fx:
-                break
-            x, vx, fx = trial, vt, ft
-        return x
+def _near_cancelled(quotient: _DeflatedQuotient, x, rel: float) -> bool:
+    return bool(quotient.cancelled) and \
+        min(abs(x - r) for r in quotient.cancelled) < rel * (1.0 + abs(x))
 
 
-def _deflate_guaranteed(poly: Polynomial, extra_roots, base_eval=None):
-    """Divide out factor roots that are known divisors by construction.
+def _base_values(evaluate, quotients, requests):
+    """One batched evaluation of ``requests``: ``(k, points)`` pairs asking
+    for the base of ``quotients[k]`` at each point.  Returns the values per
+    request."""
+    if not requests:
+        return []
+    keys = np.array([quotients[k].key for k, points in requests for _ in points], dtype=np.intp)
+    values = evaluate(keys, np.array([x for _, points in requests for x in points], dtype=complex))
+    bounds = np.cumsum([0] + [len(points) for _, points in requests])
+    return [values[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
-    Each guaranteed root claims the nearest computed root of ``poly``; the
-    survivors are Newton-polished against the stably evaluated quotient and
-    the result is rebuilt from them.
+
+def _polish_lockstep(evaluate, jobs, steps: int = 8):
+    """Damped Newton refinement of quotient roots, all roots in lockstep.
+
+    ``jobs`` holds ``(quotient, roots)`` pairs sharing the batched base
+    ``evaluate``; returns each job's polished roots as a list of Python
+    complex.  Per root the iteration is scalar: the slope by central
+    differences (the analytic quotient-rule slope cancels catastrophically
+    next to a deflated root), a trial step kept while |value| falls, and a
+    stop at a non-finite value or slope or at a trial on a cancelled root.
+    Each round evaluates in one batch every live root's trial point and
+    the two difference points that its next step needs if the trial is
+    kept, so a step costs one batched evaluation for all roots.
     """
+    quotients = [quotient for quotient, roots in jobs for _ in roots]
+    starts = [x0 for _, roots in jobs for x0 in roots]
+    x = list(starts)
+    h, vx, fx, vp, vm = ([None] * len(x) for _ in range(5))
+    requests = []
+    for k, quotient in enumerate(quotients):
+        if _near_cancelled(quotient, x[k], 1e-12):
+            x[k] = x[k] + 1e-9 * (1.0 + abs(x[k]))
+        h[k] = 1e-6 * (1.0 + abs(x[k]))
+        requests.append((k, (x[k], x[k] + h[k], x[k] - h[k])))
+    live = []
+    for (k, points), bases in zip(requests, _base_values(evaluate, quotients, requests)):
+        vx[k] = quotients[k].value(points[0], bases[0])
+        fx[k] = abs(vx[k])
+        if not np.isfinite(fx[k]):
+            x[k] = starts[k]
+            continue
+        vp[k] = quotients[k].value(points[1], bases[1])
+        vm[k] = quotients[k].value(points[2], bases[2])
+        live.append(k)
+    for step in range(steps):
+        requests = []
+        for k in live:
+            slope = (vp[k] - vm[k]) / (2.0 * h[k])
+            if slope == 0 or not np.isfinite(slope):
+                continue
+            trial = x[k] - vx[k] / slope
+            if not np.isfinite(trial) or _near_cancelled(quotients[k], trial, 1e-13):
+                continue
+            if step + 1 < steps:
+                h_next = 1e-6 * (1.0 + abs(trial))
+                requests.append((k, (trial, trial + h_next, trial - h_next)))
+            else:
+                requests.append((k, (trial,)))
+        live = []
+        for (k, points), bases in zip(requests, _base_values(evaluate, quotients, requests)):
+            vt = quotients[k].value(points[0], bases[0])
+            ft = abs(vt)
+            if not np.isfinite(ft) or ft >= fx[k]:
+                continue
+            x[k], vx[k], fx[k] = points[0], vt, ft
+            if len(points) == 3:
+                h[k] = 1e-6 * (1.0 + abs(x[k]))
+                vp[k] = quotients[k].value(points[1], bases[1])
+                vm[k] = quotients[k].value(points[2], bases[2])
+                live.append(k)
+        if not live:
+            break
+    polished, at = [], 0
+    for _, roots in jobs:
+        polished.append([complex(r) for r in x[at:at + len(roots)]])
+        at += len(roots)
+    return polished
+
+
+def _claim_guaranteed(quotient: _DeflatedQuotient, extra_roots):
+    """Cancel factor roots that are known divisors by construction: each
+    claims the nearest computed root of the minor polynomial.
+
+    Returns the surviving roots to polish, or ``None`` when the polynomial
+    stands as it is.
+    """
+    poly = quotient.poly
     if poly.is_zero or poly.degree == 0:
-        return poly
+        return None
     remaining = list(poly.roots())
-    quotient = _DeflatedQuotient(poly, base=base_eval)
     for e in extra_roots:
         if not remaining:
             break
         remaining.pop(_nearest_root(remaining, e)[0])
         quotient.cancelled.append(complex(e))
-    polished = [complex(quotient.newton_polish(x)) for x in remaining]
-    return Polynomial.from_roots(polished, poly.gain)
+    return remaining
 
 
-def _cancel_known_roots(poly: Polynomial, den_roots):
-    """Remove denominator roots from ``poly`` where it shares them.
+def _cancel_known_roots(quotient: _DeflatedQuotient, den_roots):
+    """Cancel denominator roots where the minor polynomial shares them.
 
     Each factor root is known accurately (it comes from a low-degree entry
     denominator).  Whether it still divides the running quotient is decided
     by the argument principle on a tiny circle around the root: the winding
     number counts remaining zeros there, so repeated copies and clustered
     neighbours resolve correctly and no derivative is needed.  Certified
-    roots claim the nearest computed root of the original polynomial; the
-    survivors are Newton-polished against the final quotient and the
-    numerator is rebuilt from them, which keeps every coefficient accurate
-    across wide magnitude ranges.
+    roots claim the nearest computed root of the original polynomial.
+
+    Returns the surviving roots to polish (``None`` when nothing was
+    cancelled and the polynomial stands) and the denominator roots kept.
     """
+    poly = quotient.poly
     if poly.is_zero or poly.degree == 0 or not den_roots:
-        return poly, list(den_roots)
+        return None, list(den_roots)
     remaining = list(poly.roots())
-    quotient = _DeflatedQuotient(poly)
     kept = []
     for r in den_roots:
         window = _CLUSTER_WINDOW * (1.0 + abs(r))
@@ -937,9 +1097,8 @@ def _cancel_known_roots(poly: Polynomial, den_roots):
         else:
             kept.append(r)
     if not quotient.cancelled:
-        return poly, kept
-    polished = [complex(quotient.newton_polish(x)) for x in remaining]
-    return Polynomial.from_roots(polished, poly.gain), kept
+        return None, kept
+    return remaining, kept
 
 
 def _certify_factor_root(quotient: _DeflatedQuotient, r: complex, window: float,

@@ -375,6 +375,8 @@ EDGE_FILES = {
     "lossless": EDGE_HEAD + "\n[shunt]\nnode = 1\nkind = rlc\nr = 0\nl = 1\nc = 1\n",
     "zero-admittance": EDGE_HEAD
     + "\n[shunt]\nnode = 1\nkind = rational\nnum = 0\nden = 1\n",
+    "zero-denominator": EDGE_HEAD
+    + "\n[shunt]\nnode = 1\nkind = rational\nnum = 1\nden = 0\n",
     "capacitor-free-node": EDGE_HEAD
     + "\n[node]\nid = 2\n"
       "\n[shunt]\nnode = 1\nkind = rlc\nr = 1\nl = 1\nc = 1\n"
@@ -436,6 +438,12 @@ class TestExitCodeContract:
         code, out, err = run_cli(capsys, "modes", edge_file(tmp_path, name))
         assert code == 4
         assert message in err
+        assert out == ""
+
+    def test_zero_denominator_is_a_file_error_exit_2(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "modes", edge_file(tmp_path, "zero-denominator"))
+        assert code == 2
+        assert "line 12, column 1: denominator must not be zero" in err
         assert out == ""
 
     def test_tune_of_a_zero_parameter_exit_3(self, capsys, tmp_path):

@@ -5,10 +5,19 @@ from netmodal.modes import find_modes
 from netmodal.netfile import parse_network_text
 from netmodal.network import build_ynodal
 from netmodal.rational import (
+    _CLUSTER_WINDOW,
+    DET_CANCEL_REL,
     Polynomial,
     RationalFunction,
     RationalMatrix,
     SymbolicDimensionError,
+    _certify_factor_root,
+    _cleared_rows,
+    _mul_unfused,
+    _nearest_root,
+    _poly_det,
+    _quot_cpython,
+    _without_hint_roots,
     poly_roots,
     rat_derivative,
     rat_det,
@@ -220,8 +229,14 @@ class TestEvaluationExactness:
     POINTS = (0.3 + 2.1j, -0.05 + 4.5j, 1.7)
     GRID = np.linspace(0.1, 10.0, 7) * 1j - 0.02
 
-    @pytest.fixture(scope="class",
-                    params=["sample", "two-port", "rng106-n8-1", "near-duplicates"])
+    @staticmethod
+    def scatter(count=200):
+        """Points of magnitude 1e-2..1e2 in every direction."""
+        rng = np.random.default_rng(8)
+        return 10.0 ** rng.uniform(-2.0, 2.0, count) * np.exp(2j * np.pi * rng.uniform(size=count))
+
+    @pytest.fixture(scope="class", params=["sample", "two-port", "rng106-n8-1",
+                                           "near-duplicates", "complex-gains"])
     def ynodal(self, request, three_node_net):
         if request.param == "sample":
             return build_ynodal(three_node_net)
@@ -236,9 +251,21 @@ class TestEvaluationExactness:
         base = RationalFunction(Polynomial._raw(rooted.gain, rooted.monic), den)
         scaled = RationalFunction(Polynomial._raw(2.0 * rooted.gain, rooted.monic), den)
         factored = RationalFunction(rooted, den)
-        return RationalMatrix([[base, scaled, factored],
-                               [scaled, base, -base],
-                               [factored, -base, base]])
+        if request.param == "near-duplicates":
+            return RationalMatrix([[base, scaled, factored],
+                                   [scaled, base, -base],
+                                   [factored, -base, base]])
+        # complex gains, and product-form num over product-form den (the
+        # value is then a quotient of two Python complex numbers)
+        both = RationalFunction(Polynomial.from_roots([-0.2 + 3j, 4.0, -1.5 - 0.5j], 0.3 - 2.2j),
+                                Polynomial.from_roots([-0.1 + 1j, -0.1 - 1j, -7.0, 0.5j], 1.9j))
+        constant_over_roots = RationalFunction(Polynomial.from_roots([], -1.3 + 0.4j),
+                                               Polynomial.from_roots([-2.0], 1.0))
+        coeffs_over_roots = RationalFunction(Polynomial([0.4j, -1.0, 2.5 + 1j, 0.7]),
+                                             Polynomial.from_roots([-0.3, -0.6 + 2j], 1.0))
+        return RationalMatrix([[both, constant_over_roots, factored],
+                               [coeffs_over_roots, RationalFunction.zero(), -both],
+                               [base, both * (0.5 - 1j), constant_over_roots]])
 
     def test_pointwise_values(self, ynodal):
         for s in self.POINTS:
@@ -259,3 +286,215 @@ class TestEvaluationExactness:
         for s in self.POINTS:
             expected = np.array([[e.derivative_at(s) for e in row] for row in ynodal.entries])
             assert np.array_equal(ynodal.derivative_at(s), expected)
+
+    def test_array_evaluators_match_pointwise_calls(self, ynodal):
+        s = self.scatter()
+        for e in {id(e): e for row in ynodal.entries for e in row}.values():
+            for f in (e, e.num, e.den):
+                assert np.array_equal(f._at_points(s), np.array([f(x) for x in s]))
+
+    def test_stacked_determinant_matches_single(self, ynodal):
+        stack = ynodal.eval_grid(self.scatter(60))
+        assert np.array_equal(np.linalg.det(stack), np.array([np.linalg.det(m) for m in stack]))
+
+
+def test_unfused_product_and_cpython_quotient_round_like_scalars():
+    rng = np.random.default_rng(12)
+    a = (rng.normal(size=4000) + 1j * rng.normal(size=4000)) * 10.0 ** rng.uniform(-3, 3, 4000)
+    b = (rng.normal(size=4000) + 1j * rng.normal(size=4000)) * 10.0 ** rng.uniform(-3, 3, 4000)
+    b[:4] = (2.0, -3j, 1e-300 + 0j, 5.0 + 5.0j)
+    assert np.array_equal(_mul_unfused(a, b), np.array([x * y for x, y in zip(a, b)]))
+    assert np.array_equal(_quot_cpython(a, b),
+                          np.array([complex(x) / complex(y) for x, y in zip(a, b)]))
+
+
+# -- reference: the scalar polish, one point per evaluation ------------------
+# A verbatim copy of the pointwise Newton polish and minor evaluator that the
+# batched lockstep replaced.  det() and adjugate() must reproduce it bit for
+# bit, on hosts where numpy's array and scalar complex arithmetic round alike
+# and on those where they do not.
+
+
+class _ScalarQuotient:
+    def __init__(self, poly: Polynomial, base=None):
+        self.poly = poly
+        self.base = base if base is not None else poly
+        self.cancelled = []
+
+    def value(self, x: complex) -> complex:
+        q = 1.0 + 0j
+        for r in self.cancelled:
+            q *= x - r
+        return self.base(x) / q
+
+    def survey_circle(self, center: complex, radius: float, points: int = 32):
+        theta = 2.0 * np.pi * (np.arange(points) + 0.5) / points
+        ring = center + radius * np.exp(1j * theta)
+        vals = np.array([self.value(x) for x in ring])
+        if np.any(vals == 0):
+            return None
+        noise = 16.0 * np.finfo(float).eps * self.poly.magnitude_bound(abs(center) + radius)
+        q_min = 1.0
+        for r in self.cancelled:
+            q_min *= max(float(np.min(np.abs(ring - r))), 1e-300)
+        if float(np.min(np.abs(vals))) * q_min <= 30.0 * noise:
+            return None
+        ratios = np.roll(vals, -1) / vals
+        steps = np.log(np.abs(ratios)) + 1j * np.angle(ratios)
+        count = int(round(float(np.sum(steps.imag)) / (2.0 * np.pi)))
+        mid = center + radius * np.exp(1j * (theta + np.pi / points))
+        moment = complex(np.sum(mid * steps) / (2j * np.pi))
+        return count, moment
+
+    def newton_polish(self, x0: complex, steps: int = 8) -> complex:
+        x = x0
+        if self.cancelled and min(abs(x - r) for r in self.cancelled) \
+                < 1e-12 * (1.0 + abs(x)):
+            x = x + 1e-9 * (1.0 + abs(x))
+        vx = self.value(x)
+        fx = abs(vx)
+        if not np.isfinite(fx):
+            return x0
+        for _ in range(steps):
+            h = 1e-6 * (1.0 + abs(x))
+            slope = (self.value(x + h) - self.value(x - h)) / (2.0 * h)
+            if slope == 0 or not np.isfinite(slope):
+                break
+            trial = x - vx / slope
+            if not np.isfinite(trial):
+                break
+            if self.cancelled and min(abs(trial - r) for r in self.cancelled) \
+                    < 1e-13 * (1.0 + abs(trial)):
+                break
+            vt = self.value(trial)
+            ft = abs(vt)
+            if not np.isfinite(ft) or ft >= fx:
+                break
+            x, vx, fx = trial, vt, ft
+        return x
+
+
+def _scalar_minor_eval(matrix, rows, cols, row_factors):
+    multipliers = [Polynomial.from_roots(row_factors[r], 1.0) for r in rows]
+    plan = matrix._evaluation_plan()
+    used, local = np.unique(plan.index[np.ix_(rows, cols)], return_inverse=True)
+    entries = [plan.entries[k] for k in used]
+    local = local.reshape(len(rows), len(cols))
+
+    def base(s: complex) -> complex:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values = np.array([e(s) for e in entries], dtype=complex)
+            value = np.linalg.det(values[local])
+        for p in multipliers:
+            value *= p(s)
+        return value
+
+    return base
+
+
+def _scalar_deflate_guaranteed(poly: Polynomial, extra_roots, base_eval=None):
+    if poly.is_zero or poly.degree == 0:
+        return poly
+    remaining = list(poly.roots())
+    quotient = _ScalarQuotient(poly, base=base_eval)
+    for e in extra_roots:
+        if not remaining:
+            break
+        remaining.pop(_nearest_root(remaining, e)[0])
+        quotient.cancelled.append(complex(e))
+    polished = [complex(quotient.newton_polish(x)) for x in remaining]
+    return Polynomial.from_roots(polished, poly.gain)
+
+
+def _scalar_cancel_known_roots(poly: Polynomial, den_roots):
+    if poly.is_zero or poly.degree == 0 or not den_roots:
+        return poly, list(den_roots)
+    remaining = list(poly.roots())
+    quotient = _ScalarQuotient(poly)
+    kept = []
+    for r in den_roots:
+        window = _CLUSTER_WINDOW * (1.0 + abs(r))
+        floor = DET_CANCEL_REL * (1.0 + abs(r))
+        best, dist = _nearest_root(remaining, r)
+        if dist >= window:
+            kept.append(r)
+            continue
+        if _certify_factor_root(quotient, r, window, floor, dist):
+            remaining.pop(best)
+            quotient.cancelled.append(complex(r))
+        else:
+            kept.append(r)
+    if not quotient.cancelled:
+        return poly, kept
+    polished = [complex(quotient.newton_polish(x)) for x in remaining]
+    return Polynomial.from_roots(polished, poly.gain), kept
+
+
+def _scalar_minor(matrix, rows, cols, hint_roots):
+    """Minor ``(rows, cols)`` of ``matrix`` reduced through the scalar polish,
+    as a rational function."""
+    cleared, row_factors = _cleared_rows(matrix.entries)
+    poly = _poly_det(cleared, rows, cols, {})
+    all_roots = [r for k in rows for r in row_factors[k]]
+    if hint_roots is None:
+        num, den_roots = _scalar_cancel_known_roots(poly, all_roots)
+    else:
+        den_roots = list(hint_roots)
+        num = _scalar_deflate_guaranteed(
+            poly, _without_hint_roots(all_roots, den_roots),
+            _scalar_minor_eval(matrix, rows, cols, row_factors))
+    return RationalFunction(num, Polynomial.from_roots(den_roots, 1.0))
+
+
+def _exact_bytes(f: RationalFunction) -> tuple:
+    return tuple(
+        (np.complex128(p.gain).tobytes(), p.monic.tobytes(),
+         None if p.factors is None else np.asarray(p.factors, dtype=complex).tobytes())
+        for p in (f.num, f.den)
+    )
+
+
+def _reference_matrix(name, three_node_net):
+    if name == "sample":
+        return build_ynodal(three_node_net)
+    if name == "rng106-n8-1":
+        return build_ynodal(_eight_node_net())
+    if name == "rng4-n4":  # polished roots move if the row-multiplier products fuse
+        return build_ynodal(random_rlc_network(np.random.default_rng(4), n_nodes=4))
+    if name.startswith("two-port"):  # multi-port: no structure hints
+        return build_ynodal(parse_network_text(EDGE_FILES[name]).network)
+    # det = p/(s+1) with p = s^2 + 0.3s + 4: the cleared determinant
+    # carries spare factors (s+1)(s+2)^2, so two roots survive to polish
+    p = Polynomial([4.0, 0.3, 1.0])
+    s1, s2 = Polynomial.from_roots([-1.0]), Polynomial.from_roots([-2.0])
+    return RationalMatrix([
+        [RationalFunction(p, s1), RationalFunction(p, s2)],
+        [RationalFunction([1.0], s1), RationalFunction(Polynomial([1.0]) + s2, s2)],
+    ])
+
+
+REFERENCE_NETS = ["sample", "rng4-n4", "two-port", "two-port-branch", "no-hints-cancelling"]
+
+
+class TestLockstepPolishReference:
+    @pytest.mark.parametrize("name", REFERENCE_NETS + ["rng106-n8-1"])
+    def test_det_matches_scalar_polish(self, three_node_net, name):
+        ynodal = _reference_matrix(name, three_node_net)
+        whole = tuple(range(ynodal.dim))
+        hints = None if ynodal.hints is None else ynodal.hints.det_den_roots
+        expected = _scalar_minor(ynodal, whole, whole, hints)
+        assert _exact_bytes(ynodal.det()) == _exact_bytes(expected)
+
+    @pytest.mark.parametrize("name", REFERENCE_NETS)
+    def test_adjugate_matches_scalar_polish(self, three_node_net, name):
+        ynodal = _reference_matrix(name, three_node_net)
+        n = ynodal.dim
+        adj = ynodal.adjugate()
+        for i in range(n):
+            for j in range(n):
+                rows = tuple(k for k in range(n) if k != i)
+                cols = tuple(k for k in range(n) if k != j)
+                hints = None if ynodal.hints is None else ynodal.hints.minor_den_roots(i, j)
+                entry = _scalar_minor(ynodal, rows, cols, hints)
+                expected = entry if (i + j) % 2 == 0 else -entry
+                assert _exact_bytes(adj[j, i]) == _exact_bytes(expected), (i, j)
