@@ -22,7 +22,7 @@ from .modes import (
     OSCILLATORY_REL,
     RepeatedModeError,
     ResidueConvergenceError,
-    det_newton_step,
+    det_newton_steps,
     find_modes,
     mode_artifacts,
 )
@@ -107,18 +107,22 @@ def _check_residuals(ynodal, modes, tol: float) -> None:
 
     The Newton step length |det Y / (det Y)'| of the evaluated matrix at the
     reported eigenvalue estimates its distance to the nearest true zero; a
-    distance that is not finite (Y has an entry pole there) fails too.
-    Near-repeated modes are skipped: their positions are inherently fuzzy
-    and they are already flagged in the listing.
+    distance that is not finite (Y has an entry pole there) fails too.  Y
+    and Y' are evaluated for all checked modes in one grid each and the
+    steps taken in one stacked solve; the first failing mode in listing
+    order is reported.  Near-repeated modes are skipped: their positions
+    are inherently fuzzy and they are already flagged in the listing.
     """
-    for m in modes:
-        if m.near_repeated:
-            continue
-        lam = m.eigenvalue
-        distance = abs(det_newton_step(ynodal, lam)) / (1.0 + abs(lam))
+    lams = np.array([m.eigenvalue for m in modes if not m.near_repeated], dtype=complex)
+    if not lams.size:
+        return
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values, slopes = ynodal.eval_grid(lams), ynodal.derivative_grid(lams)
+    distances = np.abs(det_newton_steps(values, slopes)) / (1.0 + np.abs(lams))
+    for lam, distance in zip(lams, distances):
         if not distance <= tol:
             raise ArithmeticError(
-                f"mode {lam:.6g} is {distance:.2e} away from a determinant "
+                f"mode {complex(lam):.6g} is {distance:.2e} away from a determinant "
                 "zero; tolerance exceeded"
             )
 

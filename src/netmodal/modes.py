@@ -148,38 +148,51 @@ def find_modes(ynodal: RationalMatrix, det: Optional[RationalFunction] = None) -
 
 
 def _adjugate_numeric(matrix: np.ndarray) -> np.ndarray:
-    """Adjugate of a (possibly singular) complex matrix via cofactors."""
+    """Adjugate of a (possibly singular) complex matrix via cofactors.
+
+    The n² minors are gathered into one ``(n, n, n-1, n-1)`` stack, ordered
+    so that entry ``[j, i]`` drops row i and column j, and take one stacked
+    determinant; each equals the determinant of that minor taken alone.
+    """
     n = matrix.shape[0]
     if n == 1:
         return np.array([[1.0 + 0j]])
-    adj = np.empty((n, n), dtype=complex)
     idx = np.arange(n)
-    for i in range(n):
-        rows = idx[idx != i]
-        for j in range(n):
-            cols = idx[idx != j]
-            minor = matrix[np.ix_(rows, cols)]
-            adj[j, i] = (-1) ** (i + j) * np.linalg.det(minor)
-    return adj
+    others = np.array([idx[idx != k] for k in range(n)])
+    minors = matrix[others[None, :, :, None], others[:, None, None, :]]
+    signs = (-1) ** (idx[:, None] + idx[None, :])
+    return signs * np.linalg.det(minors)
+
+
+def det_newton_steps(values: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+    """Newton steps det Y / (det Y)' from stacked ``(k, n, n)`` values of Y
+    and Y', one step per matrix.
+
+    By Jacobi's formula (det Y)' = det Y * tr(Y^-1 Y'), so each step is
+    1 / tr(Y^-1 Y') and needs neither the expanded determinant nor a
+    difference quotient.  All matrices are solved in one stacked call.  A
+    step is zero where its Y is exactly singular (LU then fails for the
+    whole stack, which is retried one matrix at a time) and infinite where
+    its trace vanishes; at an entry pole it is not finite, and callers
+    treat that as a failed step, so the division warnings are muted.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        try:
+            traces = np.trace(np.linalg.solve(values, slopes), axis1=1, axis2=2)
+        except np.linalg.LinAlgError:
+            if len(values) == 1:
+                return np.zeros(1, dtype=complex)
+            return np.concatenate([det_newton_steps(values[k:k + 1], slopes[k:k + 1])
+                                   for k in range(len(values))])
+        return np.where(traces != 0, 1.0 / traces, complex(np.inf))
 
 
 def det_newton_step(ynodal: RationalMatrix, lam: complex) -> complex:
-    """Newton step det Y / (det Y)' at ``lam``, from Y(lam) and Y'(lam) alone.
-
-    By Jacobi's formula (det Y)' = det Y * tr(Y^-1 Y'), so the step is
-    1 / tr(Y^-1 Y') and needs neither the expanded determinant nor a
-    difference quotient.  It is zero where Y(lam) is exactly singular and
-    infinite where the trace vanishes; at an entry pole it is not finite,
-    and callers treat that as a failed step, so the division warnings are
-    muted.
-    """
+    """Newton step det Y / (det Y)' at ``lam``: :func:`det_newton_steps` of
+    the pointwise Y(lam) and Y'(lam)."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        y_at, slope = ynodal(lam), ynodal.derivative_at(lam)
-        try:
-            trace = np.trace(np.linalg.solve(y_at, slope))
-        except np.linalg.LinAlgError:
-            return 0j
-        return 1.0 / trace if trace != 0 else complex(np.inf)
+        values, slopes = ynodal(lam), ynodal.derivative_at(lam)
+    return complex(det_newton_steps(values[None], slopes[None])[0])
 
 
 def _refine_eigenvalue(ynodal: RationalMatrix, lam: complex, steps: int = 3) -> complex:
@@ -268,33 +281,44 @@ def mode_artifacts(ynodal: RationalMatrix, lam: complex,
     )
 
 
-# Ring size, agreement tolerance between consecutive radii and the first
-# radius (relative to 1 + |lam|) of residue_by_limit.
+# Ring size, agreement tolerance between consecutive radii, the first radius
+# (relative to 1 + |lam|) and the number of radii of residue_by_limit.
 LIMIT_POINTS = 64
 LIMIT_AGREE_REL = 1e-8
 LIMIT_START_RADIUS = 1e-2
+LIMIT_RADII = 6
+# A ring whose second moment mean((s - lam)^2 Z) exceeds this times
+# r * |mean((s - lam) Z)| encloses another pole, and its mean is not used.
+LIMIT_MOMENT_REL = 1e-6
 
 
 def residue_by_limit(zsys: RationalMatrix, lam: complex) -> np.ndarray:
     """Residue matrix of the impedance model at a simple pole.
 
     Averages ``(s - lam) * Z(s)`` around circles of shrinking radius; for a
-    simple pole the circle mean converges to the residue.  Radii span four
+    simple pole the circle mean converges to the residue.  Radii span six
     decades; two consecutive radii must agree before a value is accepted,
     and the larger radius of the agreeing pair wins (polynomial evaluation
-    gets noisier the closer the ring shrinks onto the pole).
+    gets noisier the closer the ring shrinks onto the pole).  A ring that
+    encloses another pole p would give the sum of both residues, so a ring
+    is used only while its second moment, the sum of (p - lam) times the
+    residue at p over the enclosed poles, is negligible.
     """
     radius = LIMIT_START_RADIUS * (1.0 + abs(lam))
     theta = 2.0 * np.pi * np.arange(LIMIT_POINTS) / LIMIT_POINTS
     ring = np.exp(1j * theta)
     previous = None
-    for k in range(4):
+    for k in range(LIMIT_RADII):
         r = radius * 10.0 ** (-k)
-        s_ring = lam + r * ring
-        values = zsys.eval_grid(s_ring)
-        mean = np.mean((r * ring)[:, None, None] * values, axis=0)
+        offsets = (r * ring)[:, None, None]
+        weighted = offsets * zsys.eval_grid(lam + r * ring)
+        mean = np.mean(weighted, axis=0)
+        scale = max(float(np.linalg.norm(mean)), 1e-300)
+        moment = np.linalg.norm(np.mean(offsets * weighted, axis=0))
+        if not moment < LIMIT_MOMENT_REL * r * scale:
+            previous = None
+            continue
         if previous is not None:
-            scale = max(float(np.linalg.norm(mean)), 1e-300)
             if np.linalg.norm(mean - previous) <= LIMIT_AGREE_REL * scale:
                 return previous
         previous = mean

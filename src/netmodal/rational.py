@@ -13,6 +13,7 @@ determinants of larger matrices are expanded.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -525,16 +526,17 @@ class _EvalPlan:
 class RationalMatrix:
     """Square matrix of rational functions.
 
-    Pointwise readers (``__call__``, ``eval_grid``, ``derivative_at`` and the
-    batched minor evaluator behind ``det``/``adjugate``) share one evaluation
-    plan: the distinct entries (bitwise equal ones merged, e.g. symmetric
-    halves and zeros) and an index into them.  Each distinct entry is
-    evaluated once per point, so values are bit-identical to a per-entry
-    loop.  ``det`` and ``adjugate`` evaluate all the points of one Newton
-    step at once, with the rounding of one-point-at-a-time evaluation.  The
-    plan and the row-cleared polynomial grid are built lazily on first use
-    and cached; building them is idempotent, so a matrix stays shareable
-    without locking.
+    Pointwise readers (``__call__``, ``eval_grid``, ``derivative_at``,
+    ``derivative_grid`` and the batched minor evaluator behind
+    ``det``/``adjugate``) share one evaluation plan: the distinct entries
+    (bitwise equal ones merged, e.g. symmetric halves and zeros) and an
+    index into them.  Each distinct entry is evaluated once per point (once
+    per grid for the grid readers), so values are bit-identical to a
+    per-entry loop.  ``det`` and ``adjugate`` evaluate all the points of one
+    Newton step at once, with the rounding of one-point-at-a-time
+    evaluation.  The plan and the row-cleared polynomial grid are built
+    lazily on first use and cached; building them is idempotent, so a matrix
+    stays shareable without locking.
     """
 
     __slots__ = ("dim", "entries", "hints", "_plan", "_cleared")
@@ -594,12 +596,7 @@ class RationalMatrix:
     def eval_grid(self, s_values: np.ndarray) -> np.ndarray:
         """Evaluate on a 1-D grid of points, returning a C-contiguous
         ``(len(s), n, n)`` array."""
-        s_values = np.asarray(s_values, dtype=complex)
-        plan = self._evaluation_plan()
-        values = np.empty((s_values.size, len(plan.entries)), dtype=complex)
-        for k, e in enumerate(plan.entries):
-            values[:, k] = e(s_values)
-        return np.take(values, plan.index, axis=1)
+        return self._on_grid(s_values, self._evaluation_plan().entries)
 
     def derivative_at(self, s: complex) -> np.ndarray:
         """Entrywise derivative Y'(s) as an ``(n, n)`` complex array, with
@@ -607,6 +604,24 @@ class RationalMatrix:
         plan = self._evaluation_plan()
         slopes = [_quotient_slope(*polys, s) for polys in plan.slopes()]
         return np.array(slopes, dtype=complex)[plan.index]
+
+    def derivative_grid(self, s_values: np.ndarray) -> np.ndarray:
+        """Entrywise derivative on a 1-D grid of points, returning a
+        C-contiguous ``(len(s), n, n)`` array: the grid sibling of
+        :meth:`eval_grid`.  Each distinct entry takes one quotient-rule
+        evaluation over the whole grid, so values round as numpy's array
+        loops do and may differ from :meth:`derivative_at` in the last bits."""
+        slopes = [partial(_quotient_slope, *polys) for polys in self._evaluation_plan().slopes()]
+        return self._on_grid(s_values, slopes)
+
+    def _on_grid(self, s_values, evaluators) -> np.ndarray:
+        """One call of each distinct entry's evaluator over the whole 1-D
+        grid, spread to a C-contiguous ``(len(s), n, n)`` array."""
+        s_values = np.asarray(s_values, dtype=complex)
+        values = np.empty((s_values.size, len(evaluators)), dtype=complex)
+        for k, evaluate in enumerate(evaluators):
+            values[:, k] = evaluate(s_values)
+        return np.take(values, self._evaluation_plan().index, axis=1)
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         self._check_dim(other)

@@ -4,14 +4,19 @@ import pytest
 from netmodal.modes import (
     RepeatedModeError,
     ResidueConvergenceError,
+    _adjugate_numeric,
+    det_newton_step,
+    det_newton_steps,
     find_modes,
     gamma_shift,
     mode_artifacts,
     residue_by_limit,
 )
 from netmodal.network import (
+    Branch,
     NetworkModel,
     Node,
+    SeriesRL,
     Shunt,
     ShuntRLC,
     build_ynodal,
@@ -23,6 +28,31 @@ from netmodal.statespace import build_state_space, random_rlc_network, track_mod
 
 def parallel_rlc(r=1.0, l=1.0, c=1.0):
     return NetworkModel([Node(1)], [Shunt(1, ShuntRLC(r, l, c), "A1")])
+
+
+def rlc_net(n, shunts, branches):
+    """All-RLC net from (name, node, R, L, C) shunts and (name, a, b, R, L)
+    branches."""
+    return NetworkModel(
+        [Node(k) for k in range(1, n + 1)],
+        [Shunt(node, ShuntRLC(r, l, c), name) for name, node, r, l, c in shunts],
+        [Branch(a, b, SeriesRL(r, l), name) for name, a, b, r, l in branches],
+    )
+
+
+# A pair of modes at -0.0518 +- 6.7e-5j: a residue ring around one of them
+# encloses the other until the radius falls below their distance.
+CLOSE_PAIR_NET = rlc_net(
+    4,
+    (("A1", 1, 0.456107558771498, 0.647119245178337, 7.846427761043695),
+     ("A2", 2, 0.3043506332014029, 3.0393017081839995, 1.276766958213892),
+     ("A3", 3, 0.17525209184337265, 9.115018012727564, 0.17285668883464247),
+     ("A4", 4, 4.924386504392039, 0.15766259361639648, 7.900484575742435)),
+    (("B1-2", 1, 2, 0.15514783574166227, 7.297406564328491),
+     ("B1-3", 1, 3, 9.738691039962127, 0.12214391173852496),
+     ("B2-3", 2, 3, 0.3659697180647793, 3.7809016673035964),
+     ("B2-4", 2, 4, 4.45020994111858, 0.4447530024774835)),
+)
 
 
 class TestFindModes:
@@ -174,6 +204,18 @@ class TestResidueByLimit:
             rel = np.linalg.norm(res - art.residue) / np.linalg.norm(art.residue)
             assert rel < 1e-7
 
+    def test_ring_enclosing_another_pole_is_refused(self):
+        ynodal = build_ynodal(CLOSE_PAIR_NET)
+        zsys = build_zsys(CLOSE_PAIR_NET)
+        upper = [m for m in find_modes(ynodal)
+                 if m.oscillatory and m.eigenvalue.imag > 0 and not m.near_repeated]
+        assert any(abs(m.eigenvalue.imag) < 1e-4 for m in upper)
+        for m in upper:
+            art = mode_artifacts(ynodal, m.eigenvalue)
+            res = residue_by_limit(zsys, art.eigenvalue)
+            rel = np.linalg.norm(res - art.residue) / np.linalg.norm(art.residue)
+            assert rel < 1e-7
+
     def test_nonconvergence_raises(self):
         # double pole: the circle means keep growing as the radius shrinks
         lam0 = -1.0 + 2.0j
@@ -305,3 +347,105 @@ class TestLargeMatrixAdjugate:
             assert np.linalg.norm(s_lam - outer) / np.linalg.norm(s_lam) < 1e-7
             checked += 1
         assert checked >= 1
+
+
+def _adjugate_per_minor(matrix):
+    """The cofactor loop that _adjugate_numeric replaced, verbatim."""
+    n = matrix.shape[0]
+    if n == 1:
+        return np.array([[1.0 + 0j]])
+    adj = np.empty((n, n), dtype=complex)
+    idx = np.arange(n)
+    for i in range(n):
+        rows = idx[idx != i]
+        for j in range(n):
+            cols = idx[idx != j]
+            minor = matrix[np.ix_(rows, cols)]
+            adj[j, i] = (-1) ** (i + j) * np.linalg.det(minor)
+    return adj
+
+
+def _bits(values):
+    return np.ascontiguousarray(values).tobytes()
+
+
+class TestStackedEvaluation:
+    def test_adjugate_matches_per_minor_loop(self, three_node_model):
+        _, ynodal, _, modes = three_node_model
+        rng = np.random.default_rng(5)
+        matrices = [ynodal(m.eigenvalue) for m in modes]
+        matrices += [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for n in range(1, 9)]
+        matrices.append(np.ones((3, 3), dtype=complex))
+        for matrix in matrices:
+            adj = _adjugate_numeric(matrix)
+            assert _bits(adj) == _bits(_adjugate_per_minor(matrix))
+            assert adj.flags["C_CONTIGUOUS"]
+
+    def test_stacked_steps_match_single_steps(self, three_node_model):
+        _, ynodal, _, modes = three_node_model
+        points = [m.eigenvalue for m in modes] + [0.3 + 2j, -1.0 - 0.5j, 4j]
+        values = np.array([ynodal(s) for s in points])
+        slopes = np.array([ynodal.derivative_at(s) for s in points])
+        steps = det_newton_steps(values, slopes)
+        assert _bits(steps) == _bits([det_newton_step(ynodal, s) for s in points])
+
+    def test_singular_matrix_and_zero_trace(self):
+        s = RationalFunction([0.0, 1.0])
+        # [[1, 1], [1, 1]] at s = 2: exactly singular; its step is 0
+        singular = RationalMatrix([[s - 1.0, 1.0], [1.0, 3.0 - s]])
+        # [[1, 1], [1, -1]] at s = 2 with Y' = I: tr(Y^-1) = 0; its step is inf
+        traceless = RationalMatrix([[s - 1.0, 1.0], [1.0, s - 3.0]])
+        cases = [(singular, 2.0), (traceless, 2.0), (singular, 0.5j), (traceless, 1.0 + 1j)]
+        values = np.array([m(x) for m, x in cases])
+        slopes = np.array([m.derivative_at(x) for m, x in cases])
+        steps = det_newton_steps(values, slopes)
+        assert steps[0] == 0j and steps[1] == complex(np.inf)
+        assert np.all(np.isfinite(steps[2:])) and np.all(steps[2:] != 0)
+        assert _bits(steps) == _bits([det_newton_step(m, x) for m, x in cases])
+
+
+# Nets on which the expanded determinant returns wrong modes: real modes that
+# cluster near a branch pole come back as a spurious complex pair.
+DET_ROUTE_FAULTS = {
+    # real modes -5.0338 and -5.0688 come back as -5.0497 +- 0.0024j
+    "corpus-25-43-n5": rlc_net(
+        5,
+        (("A1", 1, 3.731835998139334, 0.6542038723580047, 3.6502135886045934),
+         ("A2", 2, 1.878860462021876, 1.1053023267523587, 0.29642674744709624),
+         ("A3", 3, 0.46920342714625474, 0.9312260550332032, 0.7016856430867078),
+         ("A4", 4, 0.21952986756764925, 0.3602216238094081, 2.6340688542622064),
+         ("A5", 5, 1.7293162921380318, 0.3045179952039835, 0.7666719149923222)),
+        (("B1-4", 1, 4, 5.633112318368682, 1.090533631045934),
+         ("B1-5", 1, 5, 2.682139343516367, 0.7678741132108389),
+         ("B2-4", 2, 4, 2.734811487487866, 0.5685905504731267),
+         ("B3-4", 3, 4, 3.136741317030579, 0.25767473775845057),
+         ("B3-5", 3, 5, 9.141056082526324, 2.1052885928344374),
+         ("B4-5", 4, 5, 1.3539701403199704, 5.693843970514717)),
+    ),
+    # modes off the state-space eigenvalues by 9.5e-3
+    "corpus-37-13-n5": rlc_net(
+        5,
+        (("A1", 1, 1.3141999800338937, 6.048933512907919, 6.68432648999839),
+         ("A2", 2, 0.9612860773751535, 1.0451025225585613, 9.3545958400268),
+         ("A3", 3, 0.19073456858235457, 3.0263044072583973, 2.7525530815137382),
+         ("A4", 4, 0.9834220238028524, 2.855181971003905, 9.278299570882702),
+         ("A5", 5, 7.358809139386214, 0.5525261826081612, 8.120370048596543)),
+        (("B1-4", 1, 4, 5.2252633750722115, 2.1732879992373015),
+         ("B1-5", 1, 5, 1.1850326979396997, 0.8006416305665237),
+         ("B2-4", 2, 4, 1.5372479137806159, 0.4354138978175622),
+         ("B3-4", 3, 4, 4.170695527784093, 1.2728579936290116),
+         ("B3-5", 3, 5, 2.902909014600313, 0.8647516362786556),
+         ("B4-5", 4, 5, 0.7090953076317545, 0.12023215464673441)),
+    ),
+}
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the expanded determinant "
+                                        "loses modes that cluster near a branch pole")
+@pytest.mark.parametrize("name", sorted(DET_ROUTE_FAULTS))
+def test_det_route_fault_matches_state_space(name):
+    net = DET_ROUTE_FAULTS[name]
+    mine = np.sort_complex(np.array([m.eigenvalue for m in find_modes(build_ynodal(net))]))
+    oracle = np.sort_complex(build_state_space(net).eigenvalues())
+    assert mine.shape == oracle.shape
+    assert np.max(np.abs(mine - oracle) / np.maximum(1.0, np.abs(oracle))) < 1e-6

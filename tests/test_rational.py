@@ -282,6 +282,16 @@ class TestEvaluationExactness:
         assert np.array_equal(grid, expected)
         assert grid.flags["C_CONTIGUOUS"]
 
+    def test_derivative_grid_is_c_contiguous(self, ynodal):
+        n = ynodal.dim
+        expected = np.empty((self.GRID.size, n, n), dtype=complex)
+        for i, row in enumerate(ynodal.entries):
+            for j, e in enumerate(row):
+                expected[:, i, j] = e.derivative_at(self.GRID)
+        grid = ynodal.derivative_grid(self.GRID)
+        assert np.array_equal(grid, expected)
+        assert grid.flags["C_CONTIGUOUS"]
+
     def test_derivative_values(self, ynodal):
         for s in self.POINTS:
             expected = np.array([[e.derivative_at(s) for e in row] for row in ynodal.entries])
