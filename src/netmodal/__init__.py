@@ -1,13 +1,6 @@
 """Impedance-based modal analysis and sensitivity tuning of electrical networks."""
 
-from .rational import (
-    Polynomial,
-    RationalFunction,
-    RationalMatrix,
-    poly_roots,
-    rat_derivative,
-    rat_det,
-)
+from .rational import Polynomial, RationalFunction, RationalMatrix
 from .network import (
     Branch,
     IncidencePattern,

@@ -11,10 +11,11 @@ matrix of the whole-system impedance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
+from .network import PointwiseModel
 from .rational import RationalFunction, RationalMatrix
 
 OSCILLATORY_REL = 1e-8
@@ -292,17 +293,20 @@ LIMIT_RADII = 6
 LIMIT_MOMENT_REL = 1e-6
 
 
-def residue_by_limit(zsys: RationalMatrix, lam: complex) -> np.ndarray:
+def residue_by_limit(zsys: Union[PointwiseModel, RationalMatrix], lam: complex) -> np.ndarray:
     """Residue matrix of the impedance model at a simple pole.
 
-    Averages ``(s - lam) * Z(s)`` around circles of shrinking radius; for a
-    simple pole the circle mean converges to the residue.  Radii span six
-    decades; two consecutive radii must agree before a value is accepted,
-    and the larger radius of the agreeing pair wins (polynomial evaluation
-    gets noisier the closer the ring shrinks onto the pole).  A ring that
-    encloses another pole p would give the sum of both residues, so a ring
-    is used only while its second moment, the sum of (p - lam) times the
-    residue at p over the enclosed poles, is negligible.
+    ``zsys`` is read only through ``eval_grid``: the pointwise model of
+    ``network.build_zsys`` or any rational matrix.  Averages
+    ``(s - lam) * Z(s)`` around circles of shrinking radius; for a simple
+    pole the circle mean converges to the residue.  Radii span six decades;
+    two consecutive radii must agree before a value is accepted, and the
+    larger radius of the agreeing pair wins (Y(s) is nearly singular on a
+    ring close to the pole, so its pointwise inverse loses digits as the
+    ring shrinks).  A ring that encloses another pole p would give the sum
+    of both residues, so a ring is used only while its second moment, the
+    sum of (p - lam) times the residue at p over the enclosed poles, is
+    negligible.
     """
     radius = LIMIT_START_RADIUS * (1.0 + abs(lam))
     theta = 2.0 * np.pi * np.arange(LIMIT_POINTS) / LIMIT_POINTS

@@ -3,8 +3,9 @@
 A network is a set of nodes carrying shunt apparatus plus branches joining
 node pairs.  Each component contributes an admittance block; assembly stacks
 those blocks into the nodal admittance matrix, the whole-system impedance
-matrix and the whole-system admittance matrix.  All transfer functions are
-in SI units with ``s`` in rad/s.
+matrix and the whole-system admittance matrix; the whole-system models are
+evaluated pointwise.  All transfer functions are in SI units with ``s`` in
+rad/s.
 """
 
 from __future__ import annotations
@@ -388,13 +389,13 @@ def _assemble(net: NetworkModel, components) -> list:
 
 
 def _structure_hints(net: NetworkModel):
-    """Exact denominator structure of the nodal matrix, where derivable.
+    """Exact denominator structure of the nodal determinant, where derivable.
 
     Every width-one component enters the nodal matrix through a rank-one
-    stamp, so determinants and first minors are affine in each component
-    admittance: their true denominator carries each component's denominator
-    roots exactly once (shunts only while their node survives the minor).
-    Multi-port blocks break the rank-one argument, so no hints are offered.
+    stamp, so the determinant is affine in each component admittance: its
+    true denominator carries each component's denominator roots exactly
+    once.  Multi-port blocks break the rank-one argument, so no hints are
+    offered.
     """
     if any(node.ports != 1 for node in net.nodes):
         return None
@@ -405,27 +406,7 @@ def _structure_hints(net: NetworkModel):
             return ()
         return tuple(complex(r) for r in y.den.roots())
 
-    shunt_info = []
-    det_roots = []
-    for sh in net.shunts:
-        off, _ = net.port_span(sh.node)
-        roots = den_roots(sh.kind)
-        shunt_info.append((off, roots))
-        det_roots.extend(roots)
-    branch_roots = []
-    for br in net.branches:
-        roots = den_roots(br.kind)
-        branch_roots.extend(roots)
-        det_roots.extend(roots)
-
-    def minor_den_roots(removed_row, removed_col):
-        roots = list(branch_roots)
-        for off, shunt in shunt_info:
-            if off != removed_row and off != removed_col:
-                roots.extend(shunt)
-        return tuple(roots)
-
-    return MatrixStructureHints(tuple(det_roots), minor_den_roots)
+    return MatrixStructureHints([r for comp in net.components() for r in den_roots(comp.kind)])
 
 
 def build_ynodal(net: NetworkModel) -> RationalMatrix:
@@ -453,50 +434,34 @@ def apparatus_admittance_matrix(net: NetworkModel) -> RationalMatrix:
     return RationalMatrix(_assemble(net, net.shunts))
 
 
-def apparatus_impedance_matrix(net: NetworkModel):
-    """Block-diagonal impedance of the shunt apparatus, or None if some node
-    carries no invertible shunt admittance."""
-    y_app = apparatus_admittance_matrix(net)
-    n = net.size
-    entries = [[RationalFunction.zero() for _ in range(n)] for _ in range(n)]
-    for node in net.nodes:
-        off, width = net.port_span(node.id)
-        if width == 1:
-            y = y_app.entries[off][off]
-            if y.is_zero:
-                return None
-            entries[off][off] = y.reciprocal()
-        else:
-            block = RationalMatrix(
-                [
-                    [y_app.entries[off + p][off + q] for q in range(width)]
-                    for p in range(width)
-                ]
-            )
-            if block.det().is_zero:
-                return None
-            inv = block.inverse()
-            for p in range(width):
-                for q in range(width):
-                    entries[off + p][off + q] = inv.entries[p][q]
-    return RationalMatrix(entries)
+class PointwiseModel:
+    """Square transfer matrix known through its values at points.
 
+    ``evaluate`` maps a 1-D array of points to the stacked ``(len(s), n, n)``
+    values.  The readers are those of :class:`RationalMatrix` that need no
+    symbolic form, so a consumer such as ``modes.residue_by_limit`` takes
+    either.
+    """
 
-def zsys_from_parts(z_app: RationalMatrix, y_net: RationalMatrix) -> RationalMatrix:
-    """Whole-system impedance from apparatus impedances and branch matrix."""
-    feedback = RationalMatrix.identity(z_app.dim) + (y_net @ z_app)
-    return z_app @ feedback.inverse()
+    __slots__ = ("dim", "_evaluate")
 
+    def __init__(self, dim: int, evaluate):
+        self.dim = dim
+        self._evaluate = evaluate
 
-def ysys_from_parts(z_app: RationalMatrix, y_net: RationalMatrix) -> RationalMatrix:
-    """Whole-system admittance from apparatus impedances and branch matrix."""
-    feedback = RationalMatrix.identity(z_app.dim) + (y_net @ z_app)
-    return feedback.inverse() @ y_net
+    def __call__(self, s: complex) -> np.ndarray:
+        """Pointwise evaluation to an ``(n, n)`` complex array."""
+        return self.eval_grid([s])[0]
+
+    def eval_grid(self, s_values) -> np.ndarray:
+        """Evaluate on a 1-D grid of points, returning ``(len(s), n, n)``."""
+        return self._evaluate(np.asarray(s_values, dtype=complex))
 
 
 _CHECK_SEED = 0x5E11
-# Relative residual allowed in the pointwise identity checks of build_zsys
-# and build_ysys.
+# Relative gap allowed between a whole-system model and its feedback form at
+# the check points of build_zsys and build_ysys, per unit of the condition
+# number of the nodal matrix there.
 CHECK_TOL = 1e-8
 
 
@@ -505,66 +470,91 @@ def _check_points(count: int = 5) -> np.ndarray:
     return rng.uniform(0.2, 2.0, count) + 1j * rng.uniform(0.5, 3.0, count)
 
 
-def _verify_product(lhs: RationalMatrix, rhs: RationalMatrix, target, tol: float,
-                    what: str) -> None:
-    for s0 in _check_points():
-        left_a, left_b = lhs(s0), rhs(s0)
-        left = left_a @ left_b
-        want = target(s0) if isinstance(target, RationalMatrix) else target
-        scale = 1.0 + float(np.linalg.norm(left_a) * np.linalg.norm(left_b))
-        if np.linalg.norm(left - want) > tol * scale:
-            raise AssemblyCheckError(
-                f"{what} identity check failed at s={s0:.3g}; the symbolic "
-                "inverse loses accuracy on densely meshed networks beyond "
-                "roughly seven nodes - evaluate the nodal matrix pointwise "
-                "instead"
-            )
+def _norms(stack: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(stack, axis=(1, 2))
 
 
-def build_zsys(net: NetworkModel) -> RationalMatrix:
-    """Whole-system impedance matrix.
+def _has_apparatus_impedance(net: NetworkModel, y_app: RationalMatrix) -> bool:
+    """Whether every node's shunt block is invertible, so that the apparatus
+    impedance Z_A = Y_app^-1 exists (ports are one or two wide)."""
+    for node in net.nodes:
+        off, width = net.port_span(node.id)
+        block = [row[off:off + width] for row in y_app.entries[off:off + width]]
+        if width == 1:
+            singular = block[0][0].is_zero
+        else:
+            singular = (block[0][0] * block[1][1] - block[0][1] * block[1][0]).is_zero
+        if singular:
+            return False
+    return True
 
-    The apparatus/branch feedback form and the plain inverse of the nodal
-    matrix are the same matrix, so the better-conditioned inverse route is
-    used for the arithmetic; networks where some node carries no invertible
-    shunt block (no apparatus impedance matrix exists) are flagged with a
-    warning.  The product with the nodal matrix is spot-checked pointwise
-    before returning.
+
+def _check_feedback_form(net: NetworkModel, ynodal: RationalMatrix,
+                         model: PointwiseModel, factors, what: str) -> None:
+    """Compare ``model`` with the feedback form at the fixed check points.
+
+    The feedback form takes Z_A = Y_app^-1 from the shunt blocks and
+    (I + Y_net Z_A)^-1 from the branches, never inverting Y itself, so the
+    two computations are independent.  ``factors(z_a, closed, y_net)``
+    returns the two matrices whose product is the form.  Both computations
+    lose digits with the condition number of Y(s), so the allowed gap grows
+    with it.  Where some node carries no invertible
+    shunt block Z_A does not exist: a warning flags that, and only the
+    residual of Z(s) Y(s) = I is checked.
+    """
+    s = _check_points()
+    y_at = ynodal.eval_grid(s)
+    z_at = np.linalg.inv(y_at)
+    condition = 1.0 + _norms(y_at) * _norms(z_at)
+    y_app = apparatus_admittance_matrix(net)
+    if _has_apparatus_impedance(net, y_app):
+        y_net = branch_admittance_matrix(net).eval_grid(s)
+        z_a = np.linalg.inv(y_app.eval_grid(s))
+        closed = np.linalg.inv(np.eye(net.size) + y_net @ z_a)
+        left, right = factors(z_a, closed, y_net)
+        gap = _norms(model.eval_grid(s) - left @ right)
+        bound = CHECK_TOL * condition * _norms(left) * _norms(right)
+    else:
+        warnings.warn("Z_A-free assembly: inverting the nodal admittance matrix",
+                      stacklevel=3)
+        gap = _norms(z_at @ y_at - np.eye(net.size))
+        bound = CHECK_TOL * condition
+    failed = np.flatnonzero(~(gap <= bound))
+    if failed.size:
+        raise AssemblyCheckError(
+            f"{what} identity check failed at s={s[failed[0]]:.3g}")
+
+
+def build_zsys(net: NetworkModel) -> PointwiseModel:
+    """Whole-system impedance matrix Z(s) = Y(s)^-1, evaluated pointwise.
+
+    Z exists only pointwise once apparatus is known through values alone,
+    and it is used only through its values, so no symbolic inverse is
+    formed and no dimension limit applies.  A grid evaluates every distinct
+    entry of the nodal matrix once and takes one stacked inverse.  Before
+    returning, Z is checked against the feedback form Z_A (I + Y_net Z_A)^-1
+    (see :func:`_check_feedback_form`); a mismatch raises
+    :class:`AssemblyCheckError`.
     """
     ynodal = build_ynodal(net)
-    if apparatus_impedance_matrix(net) is None:
-        warnings.warn("Z_A-free assembly: inverting the nodal admittance matrix",
-                      stacklevel=2)
-    zsys = ynodal.inverse()
-    _verify_product(zsys, ynodal, np.eye(net.size), CHECK_TOL, "impedance model")
+    zsys = PointwiseModel(net.size, lambda s: np.linalg.inv(ynodal.eval_grid(s)))
+    _check_feedback_form(net, ynodal, zsys,
+                         lambda z_a, closed, y_net: (z_a, closed), "impedance model")
     return zsys
 
 
-def build_ysys(net: NetworkModel) -> RationalMatrix:
-    """Whole-system admittance matrix (same fallback rules as build_zsys)."""
-    y_net = branch_admittance_matrix(net)
+def build_ysys(net: NetworkModel) -> PointwiseModel:
+    """Whole-system admittance matrix Ysys(s) = Y_app(s) Z(s) Y_net(s),
+    evaluated pointwise like :func:`build_zsys` and checked against the
+    feedback form (I + Y_net Z_A)^-1 Y_net."""
     ynodal = build_ynodal(net)
-    z_app = apparatus_impedance_matrix(net)
-    if z_app is None:
-        warnings.warn("Z_A-free assembly: inverting the nodal admittance matrix",
-                      stacklevel=2)
-    y_app = apparatus_admittance_matrix(net)
-    ysys = (y_app @ ynodal.inverse()) @ y_net
-    for s0 in _check_points():
-        if z_app is None:
-            feedback = ynodal(s0) @ np.linalg.inv(y_app(s0)) \
-                if not np.isclose(np.linalg.det(y_app(s0)), 0) else None
-        else:
-            feedback = np.eye(net.size) + y_net(s0) @ z_app(s0)
-        if feedback is None:
-            continue
-        got = feedback @ ysys(s0)
-        want = y_net(s0)
-        scale = 1.0 + float(np.linalg.norm(feedback) * np.linalg.norm(ysys(s0)))
-        if np.linalg.norm(got - want) > CHECK_TOL * scale:
-            raise AssemblyCheckError(
-                f"admittance model identity check failed at s={s0:.3g}"
-            )
+    y_app, y_net = apparatus_admittance_matrix(net), branch_admittance_matrix(net)
+    ysys = PointwiseModel(
+        net.size,
+        lambda s: y_app.eval_grid(s) @ np.linalg.inv(ynodal.eval_grid(s)) @ y_net.eval_grid(s),
+    )
+    _check_feedback_form(net, ynodal, ysys,
+                         lambda z_a, closed, y_net: (closed, y_net), "admittance model")
     return ysys
 
 

@@ -1,9 +1,9 @@
 """Complex-coefficient polynomials, rational functions and matrices of them.
 
-These are the carriers for every transfer-function quantity in the package:
-network admittance matrices, whole-system impedance matrices and their
-determinants.  All values are immutable and all operations are pure, so they
-can be shared and evaluated concurrently without locking.
+These carry the package's symbolic transfer functions: network admittance
+matrices and their determinants.  All values are immutable and all
+operations are pure, so they can be shared and evaluated concurrently
+without locking.
 
 Polynomials are stored monic-scaled (ascending coefficients whose leading
 term is exactly 1) together with a separate complex gain.  Keeping the gain
@@ -27,7 +27,7 @@ ADD_TRIM_REL = 1e-9
 # Two roots closer than CANCEL_REL * (1 + |root|) are treated as common.
 CANCEL_REL = 1e-9
 # Matching tolerance when cancelling known denominator factors out of
-# determinant/adjugate numerators.  Roots of those high-degree polynomials
+# determinant and minor numerators.  Roots of those high-degree polynomials
 # carry errors around 1e-8, so the generic 1e-9 tolerance would miss true
 # cancellations; 1e-6 matches the near-repeated-mode threshold and a true
 # mode would have to sit within the factor root's own error to be stolen.
@@ -35,7 +35,7 @@ DET_CANCEL_REL = 1e-6
 # Imaginary parts below this (relative to the largest coefficient) are
 # dropped when a polynomial is rebuilt from a conjugate-closed root set.
 REALIFY_REL = 1e-12
-# Largest matrix whose determinant and adjugate are expanded symbolically.
+# Largest matrix whose determinant is expanded symbolically.
 # Beyond it the expansion is neither affordable nor accurate; callers
 # evaluate the matrix pointwise instead.
 SYMBOLIC_DIM_LIMIT = 8
@@ -45,21 +45,17 @@ __all__ = [
     "RationalFunction",
     "RationalMatrix",
     "SymbolicDimensionError",
-    "poly_roots",
-    "rat_det",
-    "rat_derivative",
 ]
 
 
 class SymbolicDimensionError(ArithmeticError):
-    """Symbolic determinant or adjugate asked of a matrix above
-    ``SYMBOLIC_DIM_LIMIT``."""
+    """Symbolic determinant asked of a matrix above ``SYMBOLIC_DIM_LIMIT``."""
 
 
 def _check_symbolic_dim(n: int) -> None:
     if n > SYMBOLIC_DIM_LIMIT:
         raise SymbolicDimensionError(
-            f"symbolic determinant and adjugate are limited to dimension "
+            f"the symbolic determinant is limited to dimension "
             f"{SYMBOLIC_DIM_LIMIT}, got {n}; evaluate the matrix pointwise instead"
         )
 
@@ -407,11 +403,6 @@ class RationalFunction:
             raise ZeroDivisionError("division by zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
 
-    def reciprocal(self) -> "RationalFunction":
-        if self.is_zero:
-            raise ZeroDivisionError("reciprocal of zero rational function")
-        return RationalFunction(self.den, self.num)
-
     @staticmethod
     def _coerce(value):
         if isinstance(value, RationalFunction):
@@ -434,35 +425,6 @@ class RationalFunction:
         return _quotient_slope(self.num, self.num.derivative(),
                                self.den, self.den.derivative(), s)
 
-    def normalized(self, cancel_rel: float = CANCEL_REL) -> "RationalFunction":
-        """Cancel numerator/denominator roots that agree within tolerance.
-
-        Roots are matched greedily; a pair is common when its distance is
-        below ``cancel_rel * (1 + |root|)``, a relative test that survives
-        badly scaled circuits.
-        """
-        if self.num.is_zero:
-            return RationalFunction.zero()
-        if self.num.degree == 0 or self.den.degree == 0:
-            return self
-        num_roots = list(self.num.roots())
-        den_roots = self.den.roots()
-        keep_den = []
-        cancelled = False
-        for dr in den_roots:
-            best, dist = _nearest_root(num_roots, dr)
-            if dist < cancel_rel * (1.0 + abs(dr)):
-                num_roots.pop(best)
-                cancelled = True
-            else:
-                keep_den.append(dr)
-        if not cancelled:
-            return self
-        return RationalFunction(
-            Polynomial.from_roots(num_roots, self.num.gain),
-            Polynomial.from_roots(keep_den, 1.0),
-        )
-
 
 class MatrixStructureHints:
     """Known denominator structure of a rational matrix.
@@ -470,15 +432,14 @@ class MatrixStructureHints:
     Assemblers that know how their matrix was built (e.g. each component
     admittance enters through a rank-one stamp, making the determinant
     affine in it) can state the exact denominator root multiset of the
-    determinant and of every first minor.  Reduction then needs no value
-    judgements at all: the spare factors are guaranteed divisors.
+    determinant.  Reduction then needs no value judgements at all: the
+    spare factors are guaranteed divisors.
     """
 
-    __slots__ = ("det_den_roots", "minor_den_roots")
+    __slots__ = ("det_den_roots",)
 
-    def __init__(self, det_den_roots, minor_den_roots):
+    def __init__(self, det_den_roots):
         self.det_den_roots = tuple(det_den_roots)
-        self.minor_den_roots = minor_den_roots  # (removed_row, removed_col) -> roots
 
 
 def _quotient_slope(num, dnum, den, dden, s):
@@ -526,20 +487,23 @@ class _EvalPlan:
 class RationalMatrix:
     """Square matrix of rational functions.
 
+    The only symbolic matrix operation is ``det``; everything else reads
+    values.  Whole-system models are evaluated pointwise from the nodal
+    matrix (see ``network.build_zsys``), not built from it symbolically.
+
     Pointwise readers (``__call__``, ``eval_grid``, ``derivative_at``,
-    ``derivative_grid`` and the batched minor evaluator behind
-    ``det``/``adjugate``) share one evaluation plan: the distinct entries
-    (bitwise equal ones merged, e.g. symmetric halves and zeros) and an
-    index into them.  Each distinct entry is evaluated once per point (once
-    per grid for the grid readers), so values are bit-identical to a
-    per-entry loop.  ``det`` and ``adjugate`` evaluate all the points of one
-    Newton step at once, with the rounding of one-point-at-a-time
-    evaluation.  The plan and the row-cleared polynomial grid are built
-    lazily on first use and cached; building them is idempotent, so a matrix
-    stays shareable without locking.
+    ``derivative_grid`` and the batched minor evaluator behind ``det``)
+    share one evaluation plan: the distinct entries (bitwise equal ones
+    merged, e.g. symmetric halves and zeros) and an index into them.  Each
+    distinct entry is evaluated once per point (once per grid for the grid
+    readers), so values are bit-identical to a per-entry loop.  ``det``
+    evaluates all the points of one Newton step at once, with the rounding
+    of one-point-at-a-time evaluation.  The plan is built lazily on first
+    use and cached; building it is idempotent, so a matrix stays shareable
+    without locking.
     """
 
-    __slots__ = ("dim", "entries", "hints", "_plan", "_cleared")
+    __slots__ = ("dim", "entries", "hints", "_plan")
 
     def __init__(self, entries: Sequence[Sequence[RationalFunction]], hints=None):
         rows = tuple(tuple(self._coerce(e) for e in row) for row in entries)
@@ -550,7 +514,6 @@ class RationalMatrix:
         self.entries = rows
         self.hints = hints
         self._plan = None
-        self._cleared = None
 
     def _evaluation_plan(self) -> _EvalPlan:
         plan = self._plan
@@ -565,24 +528,6 @@ class RationalMatrix:
         if isinstance(value, (int, float, complex)):
             return RationalFunction.constant(value)
         raise TypeError(f"cannot use {type(value).__name__} as a matrix entry")
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        one, zero = RationalFunction.one(), RationalFunction.zero()
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, n: int) -> "RationalMatrix":
-        zero = RationalFunction.zero()
-        return cls([[zero] * n for _ in range(n)])
-
-    @classmethod
-    def diagonal(cls, diag: Sequence[RationalFunction]) -> "RationalMatrix":
-        n = len(diag)
-        zero = RationalFunction.zero()
-        return cls(
-            [[diag[i] if i == j else zero for j in range(n)] for i in range(n)]
-        )
 
     def __getitem__(self, idx):
         i, j = idx
@@ -623,52 +568,7 @@ class RationalMatrix:
             values[:, k] = evaluate(s_values)
         return np.take(values, self._evaluation_plan().index, axis=1)
 
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._check_dim(other)
-        return RationalMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
-
-    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._check_dim(other)
-        return RationalMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
-
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._check_dim(other)
-        n = self.dim
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = RationalFunction.zero()
-                for k in range(n):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a.is_zero or b.is_zero:
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            rows.append(row)
-        return RationalMatrix(rows)
-
-    def scale(self, factor) -> "RationalMatrix":
-        return RationalMatrix(
-            [[e * factor for e in row] for row in self.entries]
-        )
-
-    def _check_dim(self, other: "RationalMatrix") -> None:
-        if not isinstance(other, RationalMatrix) or other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-
-    # -- determinant, adjugate, inverse -------------------------------------
+    # -- determinant ----------------------------------------------------------
 
     def det(self) -> RationalFunction:
         """Determinant as a normalized rational function.
@@ -686,36 +586,6 @@ class RationalMatrix:
         hint_roots = None if self.hints is None else [self.hints.det_den_roots]
         return self._reduced_minors([(whole, whole)], hint_roots)[0]
 
-    def adjugate(self) -> "RationalMatrix":
-        """Symbolic adjugate via cofactors with memoized polynomial minors.
-
-        Every cofactor is reduced like :meth:`det`, and the roots of all n²
-        of them are polished in one lockstep.  Raises
-        :class:`SymbolicDimensionError` above ``SYMBOLIC_DIM_LIMIT``.
-        """
-        n = self.dim
-        _check_symbolic_dim(n)
-        if n == 1:
-            return RationalMatrix([[RationalFunction.one()]])
-        drop = [tuple(k for k in range(n) if k != i) for i in range(n)]
-        minors = [(drop[i], drop[j]) for i in range(n) for j in range(n)]
-        hint_roots = None if self.hints is None else [
-            self.hints.minor_den_roots(i, j) for i in range(n) for j in range(n)
-        ]
-        reduced = self._reduced_minors(minors, hint_roots)
-        adj = [[None] * n for _ in range(n)]
-        for entry, (i, j) in zip(reduced, np.ndindex(n, n)):
-            adj[j][i] = entry if (i + j) % 2 == 0 else -entry
-        return RationalMatrix(adj)
-
-    def _cleared_rows(self):
-        """The row-cleared polynomial grid and row factors, built on first
-        use and cached like the evaluation plan."""
-        cleared = self._cleared
-        if cleared is None:
-            cleared = self._cleared = _cleared_rows(self.entries)
-        return cleared
-
     def _reduced_minors(self, minors, hint_roots):
         """Each minor ``(rows, cols)`` as a rational function: its cleared
         polynomial with the spare row factors divided out, over the rest.
@@ -729,7 +599,7 @@ class RationalMatrix:
         of the minor of Y times its row multipliers (with hints), or the
         minor polynomial itself.
         """
-        cleared, row_factors = self._cleared_rows()
+        cleared, row_factors = _cleared_rows(self.entries)
         cache: dict = {}
         polys = [_poly_det(cleared, rows, cols, cache) for rows, cols in minors]
         if self.hints is not None:
@@ -755,22 +625,6 @@ class RationalMatrix:
                              Polynomial.from_roots(den_roots, 1.0))
             for (quotient, remaining), den_roots in zip(jobs, dens)
         ]
-
-    def inverse(self) -> "RationalMatrix":
-        """Symbolic inverse ``adj / det``.  Entries are left unnormalized;
-        call :meth:`normalized` if cancelled entries are needed."""
-        d = self.det()
-        if d.is_zero:
-            raise ZeroDivisionError("matrix of rational functions is singular")
-        adj = self.adjugate()
-        return RationalMatrix(
-            [[e / d for e in row] for row in adj.entries]
-        )
-
-    def normalized(self) -> "RationalMatrix":
-        return RationalMatrix(
-            [[e.normalized() for e in row] for row in self.entries]
-        )
 
 
 def _match_roots(pool, roots, close):
@@ -1145,18 +999,3 @@ def _certify_factor_root(quotient: _DeflatedQuotient, r: complex, window: float,
             return abs(position - r) <= max(floor, 1e-3 * radius)
         radius *= 0.02
     return nearest_dist < floor
-
-
-def poly_roots(p: Polynomial) -> np.ndarray:
-    """All roots of ``p`` (with multiplicity), companion matrix + polishing."""
-    return p.roots()
-
-
-def rat_det(matrix: RationalMatrix) -> RationalFunction:
-    """Determinant of a rational matrix, common factors cancelled."""
-    return matrix.det()
-
-
-def rat_derivative(f: RationalFunction) -> RationalFunction:
-    """Quotient-rule derivative of a rational function."""
-    return f.derivative()

@@ -19,6 +19,7 @@ from netmodal.network import (
     SeriesRL,
     Shunt,
     ShuntRLC,
+    _check_points,
     build_ynodal,
     build_zsys,
 )
@@ -234,7 +235,7 @@ class TestGammaShift:
     def test_global_scaling_keeps_null_space(self, three_node_model):
         _, ynodal, _, modes = three_node_model
         lam = modes[0].eigenvalue
-        doubled = ynodal.scale(2.0)
+        doubled = RationalMatrix([[2.0 * e for e in row] for row in ynodal.entries])
         assert abs(gamma_shift(ynodal, lam, doubled)) < 1e-9
 
     def test_drift_linear_in_bump(self, three_node_net, three_node_model):
@@ -289,6 +290,71 @@ def state_space_residue(net, lam):
     left = np.linalg.inv(right)
     k = int(np.argmin(np.abs(eigs - lam)))
     return eigs[k], np.outer(right[:n, k], left[k] @ b)
+
+
+# corpus nets whose determinant is right but on which the symbolic inverse
+# once failed build_zsys's identity check at s = 0.864+1.01j
+ASSEMBLY_CHECK_NETS = {
+    "corpus-s41-r2-n4": rlc_net(
+        4,
+        (("A1", 1, 0.21125363562976116, 0.3494898788895028, 0.7523472865871966),
+         ("A2", 2, 0.8954701245008702, 0.3155936767644026, 4.018758753777215),
+         ("A3", 3, 0.15989321021995798, 6.203451433979293, 0.406446064635182),
+         ("A4", 4, 2.781916356625847, 1.8863487691226917, 0.3076323020129615)),
+        (("B1-2", 1, 2, 0.1968275002677905, 0.12805187854576403),
+         ("B1-3", 1, 3, 2.7940209151959565, 1.1010253175306322),
+         ("B2-3", 2, 3, 2.200891194486104, 0.8132883183288883),
+         ("B2-4", 2, 4, 1.168439920013069, 9.923875867086515)),
+    ),
+    "corpus-s5-r89-n5": rlc_net(
+        5,
+        (("A1", 1, 2.7366776409674474, 1.1268151108223337, 0.2812471870222731),
+         ("A2", 2, 8.780083609567113, 0.3241890706474319, 1.599657336993171),
+         ("A3", 3, 0.17397682310693952, 4.027580500813353, 0.12667278832511789),
+         ("A4", 4, 2.262561377567803, 1.6569048183602835, 0.15821949648998201),
+         ("A5", 5, 3.335130761446838, 5.594028667474244, 0.11869238950007462)),
+        (("B1-4", 1, 4, 1.0573237694808195, 0.40139560148183884),
+         ("B1-5", 1, 5, 6.828404837712021, 4.470278056748543),
+         ("B2-4", 2, 4, 0.4756466238471448, 0.9515613769392067),
+         ("B3-4", 3, 4, 0.4689548003082586, 3.244155425729873),
+         ("B3-5", 3, 5, 1.1762999781937418, 0.18674763775669148),
+         ("B4-5", 4, 5, 0.17262366500674292, 4.455131564800695)),
+    ),
+}
+
+
+def simple_oscillatory_eigenvalues(net):
+    """Upper-half-plane state-matrix eigenvalues with no near neighbour."""
+    eigs = build_state_space(net).eigenvalues()
+    return [z for z in eigs
+            if z.imag > 1e-8 * (1.0 + abs(z))
+            and np.sum(np.abs(eigs - z) < 1e-6 * max(1.0, abs(z))) == 1]
+
+
+class TestPointwiseZsysResidues:
+    @pytest.mark.parametrize("name", sorted(ASSEMBLY_CHECK_NETS))
+    def test_residues_match_state_space(self, name):
+        net = ASSEMBLY_CHECK_NETS[name]
+        zsys = build_zsys(net)
+        upper = simple_oscillatory_eigenvalues(net)
+        assert upper
+        for target in upper:
+            lam, want = state_space_residue(net, target)
+            res = residue_by_limit(zsys, lam)
+            assert np.linalg.norm(res - want) <= 1e-8 * np.linalg.norm(want)
+
+    def test_no_dimension_limit(self):
+        net = random_rlc_network(np.random.default_rng(5), n_nodes=9)
+        ynodal = build_ynodal(net)
+        zsys = build_zsys(net)
+        assert zsys.dim == 9
+        s = _check_points()
+        residual = zsys.eval_grid(s) @ ynodal.eval_grid(s) - np.eye(9)
+        assert np.max(np.abs(residual)) < 1e-10
+        target = min(simple_oscillatory_eigenvalues(net), key=lambda z: -z.real / abs(z))
+        lam, want = state_space_residue(net, target)
+        res = residue_by_limit(zsys, lam)
+        assert np.linalg.norm(res - want) <= 1e-8 * np.linalg.norm(want)
 
 
 def eight_node_net(index):

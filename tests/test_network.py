@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from netmodal import network
 from netmodal.network import (
+    AssemblyCheckError,
     Branch,
     ModelDataError,
     NetworkModel,
@@ -12,15 +14,15 @@ from netmodal.network import (
     ShuntCapacitor,
     ShuntRLC,
     SpectrumRef,
-    apparatus_impedance_matrix,
+    _assemble,
+    _check_points,
+    apparatus_admittance_matrix,
     branch_admittance_matrix,
     build_ynodal,
     build_ysys,
     build_zsys,
     incidence_pattern,
     param_derivative,
-    ysys_from_parts,
-    zsys_from_parts,
 )
 from netmodal.rational import RationalFunction, RationalMatrix
 
@@ -69,11 +71,11 @@ class TestWholeSystemModels:
     def test_zsys_single_rlc_hand_inversion(self):
         # Y = sC + 1/(R+sL) with R=L=C=1 inverts to (1+s)/(s^2+s+1)
         z = build_zsys(single_node(ShuntRLC(1.0, 1.0, 1.0)))
-        entry = z[0, 0].normalized()
-        assert np.allclose(entry.num.coeffs, [1.0, 1.0])
-        assert np.allclose(entry.den.coeffs, [1.0, 1.0, 1.0])
-        s0 = 0.5 + 2.0j
-        assert entry(s0) == pytest.approx((1 + s0) / (s0 * s0 + s0 + 1))
+        s = np.array([0.5 + 2.0j, -0.3 + 0.7j, 4.0])
+        want = (1 + s) / (s * s + s + 1)
+        assert z.dim == 1
+        assert np.allclose(z.eval_grid(s)[:, 0, 0], want, rtol=1e-12, atol=0.0)
+        assert np.allclose([z(s0)[0, 0] for s0 in s], want, rtol=1e-12, atol=0.0)
 
     def test_identity_at_imaginary_point(self, three_node_model):
         net, ynodal, _, _ = three_node_model
@@ -82,47 +84,37 @@ class TestWholeSystemModels:
         assert np.linalg.norm(product - np.eye(3)) < 1e-9
 
     def test_no_branches_zsys_equals_apparatus_impedance(self):
-        net = NetworkModel(
-            [Node(1), Node(2)],
-            [Shunt(1, ShuntRLC(1.0, 0.5, 2.0), "A1"),
-             Shunt(2, ShuntRLC(0.3, 1.0, 1.0), "A2")],
-        )
+        a1, a2 = ShuntRLC(1.0, 0.5, 2.0), ShuntRLC(0.3, 1.0, 1.0)
+        net = NetworkModel([Node(1), Node(2)], [Shunt(1, a1, "A1"), Shunt(2, a2, "A2")])
         z = build_zsys(net)
-        z_app = apparatus_impedance_matrix(net)
         s0 = 0.7 + 0.4j
-        assert np.allclose(z(s0), z_app(s0))
+        z_app = np.diag([1.0 / a1.admittance()(s0), 1.0 / a2.admittance()(s0)])
+        assert np.allclose(z(s0), z_app)
 
     def test_ysys_zero_network(self):
         net = NetworkModel([Node(1)], [Shunt(1, ShuntRLC(1.0, 1.0, 1.0), "A1")])
         ysys = build_ysys(net)
-        assert all(e.is_zero for row in ysys.entries for e in row)
-
-    def test_ysys_ideal_source_limit_equals_branch_matrix(self, three_node_net):
-        # zero apparatus impedance blocks pass the branch matrix through
-        y_net = branch_admittance_matrix(three_node_net)
-        z_zero = RationalMatrix.zeros(3)
-        ysys = ysys_from_parts(z_zero, y_net)
-        s0 = 0.4 + 1.3j
-        assert np.allclose(ysys(s0), y_net(s0))
+        assert np.array_equal(ysys.eval_grid(_check_points()), np.zeros((5, 1, 1)))
 
     def test_ysys_three_node_pointwise(self, three_node_net):
         ysys = build_ysys(three_node_net)
         y_net = branch_admittance_matrix(three_node_net)
-        z_app = apparatus_impedance_matrix(three_node_net)
+        y_app = apparatus_admittance_matrix(three_node_net)
         s0 = 0.5 + 2.0j
-        feedback = np.eye(3) + y_net(s0) @ z_app(s0)
+        feedback = np.eye(3) + y_net(s0) @ np.linalg.inv(y_app(s0))
         assert np.linalg.norm(feedback @ ysys(s0) - y_net(s0)) < 1e-8
 
-    def test_parts_route_matches_inverse_route(self, three_node_net):
-        # the feedback form goes through an unhinted symbolic inverse, so it
-        # is arithmetically coarser than the production route
-        z = build_zsys(three_node_net)
-        z_parts = zsys_from_parts(
-            apparatus_impedance_matrix(three_node_net),
-            branch_admittance_matrix(three_node_net),
-        )
-        s0 = 0.6 + 1.7j
-        assert np.allclose(z(s0), z_parts(s0), rtol=1e-5, atol=1e-7)
+    @pytest.mark.parametrize("build", [build_zsys, build_ysys])
+    def test_inconsistent_decomposition_fails_the_check(self, three_node_net, monkeypatch,
+                                                        build):
+        # the feedback form sees a branch matrix that lacks one branch, the
+        # pointwise inverse of Y the whole network
+        def without_one_branch(net):
+            return RationalMatrix(_assemble(net, net.branches[1:]))
+
+        monkeypatch.setattr(network, "branch_admittance_matrix", without_one_branch)
+        with pytest.raises(AssemblyCheckError, match="identity check failed"):
+            build(three_node_net)
 
     def test_shuntless_node_falls_back_with_flag(self):
         net = NetworkModel(
