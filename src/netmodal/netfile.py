@@ -11,6 +11,7 @@ header exactly ``freq_hz,re,im``) with strictly ascending frequencies.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -74,7 +75,7 @@ def _float(raw: str, line: int, col: int) -> float:
         value = float(raw)
     except ValueError:
         raise NetworkFileError(f"expected a number, got {raw!r}", line, col) from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise NetworkFileError(f"number must be finite, got {raw!r}", line, col)
     return value
 
@@ -342,7 +343,8 @@ def read_spectrum_csv(path):
         parts = row.split(",")
         if len(parts) != 3:
             raise NetworkFileError(f"{path.name}: expected three columns", lineno)
-        f, re_part, im_part = (_float(p, lineno, 1) for p in parts)
+        starts = (1, len(parts[0]) + 2, len(parts[0]) + len(parts[1]) + 3)
+        f, re_part, im_part = (_float(p, lineno, c) for p, c in zip(parts, starts))
         freqs.append(f)
         values.append(complex(re_part, im_part))
     if len(freqs) < 2:

@@ -145,39 +145,55 @@ def _unpack_pairs(x: np.ndarray, cindex: np.ndarray) -> np.ndarray:
     return out
 
 
-def _relocate(samples: SpectrumSamples, poles: np.ndarray,
-              weights: Dict[EntryKey, np.ndarray], flip: bool) -> np.ndarray:
-    """One pole-relocation step shared across all entries."""
+def _sigma_residues(samples: SpectrumSamples, poles: np.ndarray, cindex: np.ndarray,
+                    weights: Dict[EntryKey, np.ndarray]):
+    """Residues of the scaling function in one relocation step, and the rank
+    of the joint least-squares matrix they solve.
+
+    The joint matrix has ``2·S·E`` real rows (S samples, E entries) and
+    ``(n+1)·E + n`` columns: each entry's own residues and constant, then the
+    n shared scaling residues.  An entry's rows touch only its own columns
+    and the shared ones, so each entry's ``2S × (2n+1)`` block, with its
+    right-hand side, is reduced to its R factor, and the stacked R rows are
+    solved instead.  The joint matrix is block-diag(Q_e) times that stack,
+    so both have the same singular values: with the joint matrix's cutoff
+    kept, the rank and the truncated minimum-norm solution are the same up
+    to rounding.
+    """
     s = 1j * samples.omega
-    cindex = _conjugate_index(poles)
     n = poles.size
     keys = samples.keys
     n_entries = len(keys)
-    basis = _basis(s, poles, cindex)
     rows = 2 * s.size * n_entries
     cols = (n + 1) * n_entries + n
     if rows < cols:
         raise FitSetupError("insufficient samples for order")
-    a = np.zeros((rows, cols))
-    b = np.zeros(rows)
+    basis = _basis(s, poles, cindex)
+    reduced = []  # per entry: R rows over the joint columns, then the RHS
     for e, key in enumerate(keys):
-        f = samples.entries[key]
-        w = weights[key]
-        block = np.zeros((s.size, cols), dtype=complex)
-        block[:, e * (n + 1) : e * (n + 1) + n] = basis
-        block[:, e * (n + 1) + n] = 1.0
-        block[:, n_entries * (n + 1) :] = -basis * f[:, None]
-        block *= w[:, None]
-        r0 = 2 * e * s.size
-        a[r0 : r0 + s.size] = block.real
-        a[r0 + s.size : r0 + 2 * s.size] = block.imag
-        b[r0 : r0 + s.size] = (w * f).real
-        b[r0 + s.size : r0 + 2 * s.size] = (w * f).imag
+        f = samples.entries[key][:, None]
+        block = np.hstack([basis, np.ones_like(f), -basis * f, f]) * weights[key][:, None]
+        r = np.linalg.qr(np.vstack([block.real, block.imag]), mode="r")
+        entry_rows = np.zeros((r.shape[0], cols + 1))
+        entry_rows[:, e * (n + 1) : (e + 1) * (n + 1)] = r[:, : n + 1]
+        entry_rows[:, n_entries * (n + 1) :] = r[:, n + 1 :]
+        reduced.append(entry_rows)
+    reduced = np.vstack(reduced)
     # rank deficiency is benign here (the minimum-norm solution still
     # relocates); an unsupportable order is caught by the row/column check
     # above and by the final residue solve
-    solution, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
-    sigma_res = solution[n_entries * (n + 1) :]
+    solution, _, rank, _ = np.linalg.lstsq(
+        reduced[:, :-1], reduced[:, -1], rcond=np.finfo(float).eps * max(rows, cols))
+    return solution[n_entries * (n + 1) :], rank
+
+
+def _relocate(samples: SpectrumSamples, poles: np.ndarray,
+              weights: Dict[EntryKey, np.ndarray], flip: bool) -> np.ndarray:
+    """One pole-relocation step shared across all entries: the zeros of the
+    scaling function fitted by ``_sigma_residues`` become the new poles."""
+    cindex = _conjugate_index(poles)
+    n = poles.size
+    sigma_res, _ = _sigma_residues(samples, poles, cindex, weights)
 
     # zeros of the scaling function, via the real block-diagonal form
     a_mat = np.zeros((n, n))
@@ -245,7 +261,13 @@ def fit(samples: SpectrumSamples, order: int, iterations: int = 10) -> PoleResid
     Poles are relocated ``iterations`` times (unstable trial poles are
     reflected into the left half-plane except on the last pass, so a
     genuinely unstable fit surfaces in the ``unstable`` flags), then residues
-    and constant terms come from one weighted least squares per entry.
+    and constant terms come from one weighted least squares per entry.  Each
+    relocation solves the joint problem of all entries through per-entry QR
+    reductions (``_sigma_residues``): no dense joint matrix is formed; each
+    entry's ``2·samples × (2n+2)`` block is reduced in turn, and at most
+    ``(2n+2)·entries`` rows are solved.
+    The scaling function is normalised to 1 at infinity, not relaxed, and
+    the relocation can stall on spectra with real poles.
     """
     if order < 1:
         raise FitSetupError("order must be at least 1")
@@ -277,17 +299,6 @@ def fit(samples: SpectrumSamples, order: int, iterations: int = 10) -> PoleResid
         count += 1
     object.__setattr__(model, "misfit", float(np.sqrt(total / count)))
     return model
-
-
-def count_resonance_peaks(samples: SpectrumSamples) -> int:
-    """Largest count of interior magnitude maxima over the entries; the
-    minimum sensible fit order is twice this."""
-    best = 0
-    for values in samples.entries.values():
-        mag = np.abs(values)
-        peaks = int(np.sum((mag[1:-1] > mag[:-2]) & (mag[1:-1] > mag[2:])))
-        best = max(best, peaks)
-    return best
 
 
 @dataclass(frozen=True)

@@ -101,6 +101,11 @@ class TestParseErrors:
         with pytest.raises(NetworkFileError, match="expected a number"):
             parse_network_text(MINIMAL.replace("r = 1.0", "r = abc"))
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_number_refused(self, value):
+        with pytest.raises(NetworkFileError, match="number must be finite"):
+            parse_network_text(MINIMAL.replace("r = 1.0", f"r = {value}"))
+
     def test_bad_unit(self):
         with pytest.raises(NetworkFileError, match="frequency_unit"):
             parse_network_text(MINIMAL.replace("rads", "radians"))
@@ -232,4 +237,20 @@ class TestSpectrumCSV:
         path = tmp_path / "Z_1_1.csv"
         path.write_text("freq_hz,re,im\n2.0,0.0,0.0\n1.0,0.0,0.0\n")
         with pytest.raises(NetworkFileError, match="ascend"):
+            read_spectrum_csv(path)
+
+    @pytest.mark.parametrize("row, column", [
+        ("inf,0.5,0.0", 1), ("2.0,nan,0.0", 5), ("2.0,0.5,-inf", 9),
+    ])
+    def test_non_finite_value_refused_at_its_column(self, tmp_path, row, column):
+        path = tmp_path / "Z_1_1.csv"
+        path.write_text(f"freq_hz,re,im\n1.0,0.0,0.0\n{row}\n")
+        with pytest.raises(NetworkFileError, match="number must be finite") as info:
+            read_spectrum_csv(path)
+        assert (info.value.line, info.value.column) == (3, column)
+
+    def test_bad_field_reports_its_column(self, tmp_path):
+        path = tmp_path / "Z_1_1.csv"
+        path.write_text("freq_hz,re,im\n1.0,0.0,0.0\n2.0,0.5,abc\n")
+        with pytest.raises(NetworkFileError, match=r"line 3, column 9: expected a number"):
             read_spectrum_csv(path)

@@ -2,12 +2,18 @@ import numpy as np
 import pytest
 
 from netmodal.modes import mode_artifacts
+from netmodal.network import build_ynodal
+from netmodal.statespace import build_state_space, random_rlc_network
 from netmodal.vectorfit import (
     FitSetupError,
     MeasurementError,
     PoleResidueModel,
     SpectrumSamples,
-    count_resonance_peaks,
+    _basis,
+    _conjugate_index,
+    _relocate,
+    _sigma_residues,
+    _sort_pole_pairs,
     fit,
     initial_poles,
     sensitivities_from_fit,
@@ -220,11 +226,144 @@ class TestHelpers:
         poles = initial_poles(np.logspace(0, 2, 40), 5)
         assert np.sum(np.abs(poles.imag) < 1e-12) == 1
 
-    def test_peak_count_lower_bound(self, three_node_model):
-        _, ynodal, _, _ = three_node_model
-        omega = np.logspace(-2, 1, 300)
-        grid = np.linalg.inv(ynodal.eval_grid(1j * omega))
-        samples = SpectrumSamples(omega, {(2, 2): grid[:, 1, 1]})
-        peaks = count_resonance_peaks(samples)
-        assert peaks >= 1
-        assert 2 * peaks <= 9
+
+def impedance_samples(net, omega):
+    """Every entry of Z = Y^-1 of ``net`` on ``omega``."""
+    grid = np.linalg.inv(build_ynodal(net).eval_grid(1j * omega))
+    n = grid.shape[1]
+    return SpectrumSamples(
+        omega, {(k + 1, i + 1): grid[:, k, i] for k in range(n) for i in range(n)})
+
+
+def fit_weights(samples):
+    """The inverse-magnitude weights ``fit`` uses."""
+    out = {}
+    for key, f in samples.entries.items():
+        mag = np.abs(f)
+        out[key] = 1.0 / np.maximum(mag, 1e-12 * mag.max())
+    return out
+
+
+def dense_relocate(samples, poles, weights, flip):
+    """The relocation step as first written: one lstsq on the dense joint
+    matrix.  Kept verbatim as the reference, except that it also returns the
+    rank and the column count."""
+    s = 1j * samples.omega
+    cindex = _conjugate_index(poles)
+    n = poles.size
+    keys = samples.keys
+    n_entries = len(keys)
+    basis = _basis(s, poles, cindex)
+    rows = 2 * s.size * n_entries
+    cols = (n + 1) * n_entries + n
+    if rows < cols:
+        raise FitSetupError("insufficient samples for order")
+    a = np.zeros((rows, cols))
+    b = np.zeros(rows)
+    for e, key in enumerate(keys):
+        f = samples.entries[key]
+        w = weights[key]
+        block = np.zeros((s.size, cols), dtype=complex)
+        block[:, e * (n + 1) : e * (n + 1) + n] = basis
+        block[:, e * (n + 1) + n] = 1.0
+        block[:, n_entries * (n + 1) :] = -basis * f[:, None]
+        block *= w[:, None]
+        r0 = 2 * e * s.size
+        a[r0 : r0 + s.size] = block.real
+        a[r0 + s.size : r0 + 2 * s.size] = block.imag
+        b[r0 : r0 + s.size] = (w * f).real
+        b[r0 + s.size : r0 + 2 * s.size] = (w * f).imag
+    solution, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+    sigma_res = solution[n_entries * (n + 1) :]
+
+    a_mat = np.zeros((n, n))
+    b_vec = np.ones(n)
+    i = 0
+    while i < n:
+        if cindex[i] == 1:
+            re, im = poles[i].real, poles[i].imag
+            a_mat[i, i] = a_mat[i + 1, i + 1] = re
+            a_mat[i, i + 1] = im
+            a_mat[i + 1, i] = -im
+            b_vec[i], b_vec[i + 1] = 2.0, 0.0
+            i += 2
+        else:
+            a_mat[i, i] = poles[i].real
+            i += 1
+    new_poles = np.linalg.eigvals(a_mat - np.outer(b_vec, sigma_res))
+    if flip:
+        bad = new_poles.real > 0
+        new_poles[bad] -= 2.0 * new_poles[bad].real
+    return _sort_pole_pairs(new_poles), rank, cols
+
+
+def rng3_net(n_nodes):
+    return random_rlc_network(np.random.default_rng(3), n_nodes=n_nodes)
+
+
+# (net, grid, order): the shipped sample at its true order; the 5x5 set of the
+# benchmark; the sample at four poles over its order; the sample on 9 points,
+# which give each entry 18 real rows, fewer than 2n+2 = 20.
+RELOCATION_SETS = {
+    "sample-3x3": (None, np.logspace(-2, 1, 200), 9),
+    "rng3-5x5": (5, np.logspace(-2, 2, 400), 16),
+    "sample-over-order": (None, np.logspace(-2, 1, 200), 13),
+    "sample-short-grid": (None, np.logspace(-1, 1, 9), 9),
+}
+# Largest relative pole gap measured over these sets was 1.0e-6, on the 3x3
+# set from the starting poles (the 5x5 set: 4.9e-8; the other two: 1e-10 and
+# below), so this bound leaves a margin of about 10.
+RELOCATION_TOL = 1e-5
+
+
+@pytest.fixture(scope="module")
+def relocation_steps(three_node_net):
+    """Per set: (samples, dense step, reduced (sigma residues, rank), the
+    reduced step's poles), all from the starting poles."""
+    steps = {}
+    for name, (n_nodes, omega, order) in RELOCATION_SETS.items():
+        net = three_node_net if n_nodes is None else rng3_net(n_nodes)
+        samples = impedance_samples(net, omega)
+        weights = fit_weights(samples)
+        poles = initial_poles(omega, order)
+        steps[name] = (samples,
+                       dense_relocate(samples, poles, weights, flip=True),
+                       _sigma_residues(samples, poles, _conjugate_index(poles), weights),
+                       _relocate(samples, poles, weights, flip=True))
+    return steps
+
+
+class TestBlockReducedRelocation:
+    """The per-entry QR reduction gives the dense joint step's answer."""
+
+    @pytest.mark.parametrize("name", sorted(RELOCATION_SETS))
+    def test_relocated_poles_match_dense_step(self, relocation_steps, name):
+        _, (want, _, _), _, got = relocation_steps[name]
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) < RELOCATION_TOL
+
+    def test_over_order_rank_matches_dense_step(self, relocation_steps):
+        _, (_, dense_rank, cols), (_, rank), _ = relocation_steps["sample-over-order"]
+        assert dense_rank < cols
+        assert rank == dense_rank
+
+    def test_short_grid_has_fewer_rows_than_an_entry_block(self, relocation_steps):
+        samples = relocation_steps["sample-short-grid"][0]
+        order = RELOCATION_SETS["sample-short-grid"][2]
+        assert 2 * samples.omega.size < 2 * order + 2
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: relocation stalls on "
+                                        "spectra with real poles")
+@pytest.mark.parametrize("n_nodes, points", [(3, 200), (5, 400)])
+def test_rng3_fit_matches_state_space(n_nodes, points):
+    net = rng3_net(n_nodes)
+    oracle = build_state_space(net)
+    model = fit(impedance_samples(net, np.logspace(-2, 2, points)), order=oracle.order)
+    truth = oracle.eigenvalues()
+    gap = max(
+        np.max(np.min(np.abs(a[:, None] - b[None]), axis=1) / np.maximum(1.0, np.abs(a)))
+        for a, b in ((model.poles, truth), (truth, model.poles))
+    )
+    assert gap < 1e-6
+    assert model.misfit < 1e-6
